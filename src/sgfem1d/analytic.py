@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import InvalidArgumentError
+from .quadrature import composite_rule
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,6 @@ def solve_matching_system(gamma, eta, count):
     return pairs
 
 
-def _composite_gauss(f, lo, hi, n=16, panels=8):
-    from .quadrature import gauss_rule
-    rule = gauss_rule(n)
-    edges = np.linspace(lo, hi, panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += half * np.sum(rule.weights * f(mid + half * rule.points))
-    return total
-
-
 def exact_eigenfunction(pair, gamma=None, eta=None):
     """L2-normalized evaluator for the eigenfunction of a matching-system
     root."""
@@ -135,9 +125,10 @@ def exact_eigenfunction(pair, gamma=None, eta=None):
 
     u0 = lambda x: np.sin(w0 * np.asarray(x))
     u1 = lambda x: d * np.sin(w1 * (np.asarray(x) - 1.0))
-    sq = lambda x: np.where(np.asarray(x) <= gamma, u0(x), u1(x)) ** 2
-    norm = np.sqrt(_composite_gauss(sq, 0.0, gamma)
-                   + _composite_gauss(sq, gamma, 1.0))
+    # 8 panels of 16-point Gauss on each side of gamma
+    edges = np.union1d(np.linspace(0.0, gamma, 9), np.linspace(gamma, 1.0, 9))
+    x, w = composite_rule(edges[:-1], edges[1:], 16)
+    norm = np.sqrt(np.sum(w * np.where(x <= gamma, u0(x), u1(x)) ** 2))
     c = 1.0 / norm
     return ExactFunction(
         gamma=gamma,

@@ -1,21 +1,21 @@
-"""Block stiffness/mass assembly for FEM and SGFEM.
+"""Block stiffness/mass/load assembly for FEM and SGFEM.
 
-The full matrices carry the FEM degrees of freedom first, then the
-enrichment ones, and are sliced into the four blocks afterwards.  All
-integrals use panel-wise Gauss quadrature split at the interface so every
-integrand is a (piecewise) polynomial on each panel; p+2 points per panel
-integrate the enrichment products exactly.
+All integrals use panel-wise Gauss quadrature split at the interface
+(basis.panel_basis), so every integrand is a (piecewise) polynomial on
+each panel; p+2 points per panel integrate the enrichment products
+exactly.  The element matrices of all panels come from one contraction
+and are summed into the global matrix by one scatter.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import lagrange_all, eval_enrichment
+from .basis import panel_basis
 from .exceptions import (CoefficientNotPositiveError, InvalidArgumentError,
                          MissingSourceError)
-from .quadrature import gauss_rule, panel_list
+from .quadrature import sample
 
 
 @dataclass
@@ -35,117 +35,77 @@ class InterfaceProblem:
         return np.where(x <= self.gamma, k0, k1)
 
 
-@dataclass
 class BlockSystem:
-    """Assembled stiffness and mass matrices in 2x2 block form."""
+    """Assembled stiffness K, mass M and, for a source problem, load F
+    (else None), read-only, FEM rows first and enrichment rows after.  The
+    2x2 blocks K_FF..M_EE and F_F, F_E are views into them."""
 
-    K_FF: np.ndarray
-    K_FE: np.ndarray
-    K_EF: np.ndarray
-    K_EE: np.ndarray
-    M_FF: np.ndarray
-    M_FE: np.ndarray
-    M_EF: np.ndarray
-    M_EE: np.ndarray
-    F_F: Optional[np.ndarray] = None
-    F_E: Optional[np.ndarray] = None
+    def __init__(self, K, M, F, n_fem):
+        for a in (K, M) if F is None else (K, M, F):
+            a.setflags(write=False)
+        self._K, self._M, self._F, self.n_fem = K, M, F, n_fem
 
-    @property
-    def K(self):
-        return np.block([[self.K_FF, self.K_FE], [self.K_EF, self.K_EE]])
-
-    @property
-    def M(self):
-        return np.block([[self.M_FF, self.M_FE], [self.M_EF, self.M_EE]])
-
-    @property
-    def F(self):
-        if self.F_F is None:
-            return None
-        return np.concatenate([self.F_F, self.F_E])
+    K = property(lambda self: self._K)
+    M = property(lambda self: self._M)
+    F = property(lambda self: self._F)
+    K_FF = property(lambda self: self._K[:self.n_fem, :self.n_fem])
+    K_FE = property(lambda self: self._K[:self.n_fem, self.n_fem:])
+    K_EF = property(lambda self: self._K[self.n_fem:, :self.n_fem])
+    K_EE = property(lambda self: self._K[self.n_fem:, self.n_fem:])
+    M_FF = property(lambda self: self._M[:self.n_fem, :self.n_fem])
+    M_FE = property(lambda self: self._M[:self.n_fem, self.n_fem:])
+    M_EF = property(lambda self: self._M[self.n_fem:, :self.n_fem])
+    M_EE = property(lambda self: self._M[self.n_fem:, self.n_fem:])
+    F_F = property(lambda self: None if self._F is None else self._F[:self.n_fem])
+    F_E = property(lambda self: None if self._F is None else self._F[self.n_fem:])
 
 
-def _basis_table(space, panel, rule):
-    """Values/derivatives of every active basis function on a panel.
+def _scatter(index, local, size):
+    """Sum the entries of local into a vector of the given size at the
+    flat positions index (same shape as local); index -1 drops an entry."""
+    # Dropped entries land in one extra bin, cut off below.  bincount adds
+    # in input order, so (i, j) and (j, i) of symmetric element matrices
+    # give an exactly symmetric global matrix.
+    return np.bincount(np.where(index >= 0, index, size).ravel(),
+                       weights=local.ravel(), minlength=size + 1)[:size]
 
-    Returns (rows, vals, ders, xq, wq) where rows[i] is the global row of
-    the i-th active function (FEM rows 0..n_fem-1, enrichment rows after).
-    """
-    mesh, p = space.mesh, space.p
-    k, lo, hi = panel
-    a, b = mesh.element_bounds(k)
-    h = b - a
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    xq = mid + half * rule.points
-    wq = half * rule.weights
-    t = (xq - a) / h
-    phi = lagrange_all(p, t, 0)
-    dphi = lagrange_all(p, t, 1) / h
 
-    rows, vals, ders = [], [], []
-    for i, gid in enumerate(space.element_dofs(k)):
-        if 1 <= gid <= space.n_fem:
-            rows.append(gid - 1)
-            vals.append(phi[i])
-            ders.append(dphi[i])
-    if space.enriched and k == mesh.r:
-        w = np.array([eval_enrichment(space, x, 0) for x in xq])
-        dw = np.array([eval_enrichment(space, x, 1) for x in xq])
-        for pos, gid in enumerate(space.enriched_set):
-            i = gid - (k - 1) * p
-            rows.append(space.n_fem + pos)
-            vals.append(w * phi[i])
-            ders.append(dw * phi[i] + w * dphi[i])
-    return rows, np.array(vals), np.array(ders), xq, wq
+def _gram(f, weight):
+    """Symmetric element matrices sum_q f_i f_j weight over each panel."""
+    E = (f * weight[:, None, :]) @ f.transpose(0, 2, 1)
+    return 0.5 * (E + E.transpose(0, 2, 1))
+
+
+def _load(space, prob):
+    # the source term need not be polynomial, so the load uses a finer rule
+    q = panel_basis(space, space.p + 6)
+    local = np.einsum("pfn,pn->pf", q.vals, q.w * sample(prob.source, q.x))
+    return _scatter(q.rows, local, space.n_fem + space.n_enr)
 
 
 def assemble(space, prob):
     """Assemble the block stiffness/mass system (and load if a source is
     present)."""
-    mesh = space.mesh
-    if abs(prob.gamma - mesh.gamma) > 1e-13:
+    if abs(prob.gamma - space.mesh.gamma) > 1e-13:
         raise InvalidArgumentError("problem and mesh disagree on gamma")
-    nf, ne = space.n_fem, space.n_enr
-    ndof = nf + ne
-    K = np.zeros((ndof, ndof))
-    M = np.zeros((ndof, ndof))
-    F = np.zeros(ndof) if prob.source is not None else None
-    rule = gauss_rule(space.p + 2)
-    # the source term need not be polynomial, so the load uses a finer rule
-    rule_load = gauss_rule(space.p + 6)
-
-    for panel in panel_list(mesh):
-        rows, vals, ders, xq, wq = _basis_table(space, panel, rule)
-        kap = prob.kappa(xq)
-        if np.any(kap <= 0.0):
-            raise CoefficientNotPositiveError(
-                f"kappa <= 0 sampled on panel {panel}")
-        idx = np.ix_(rows, rows)
-        K[idx] += (ders * (kap * wq)) @ ders.T
-        M[idx] += (vals * wq) @ vals.T
-        if F is not None:
-            rows_l, vals_l, _, xq_l, wq_l = _basis_table(space, panel, rule_load)
-            F[rows_l] += vals_l @ (wq_l * prob.source(xq_l))
-
-    # enforce exact symmetry (summation order would otherwise leave
-    # last-bit asymmetry)
-    K = 0.5 * (K + K.T)
-    M = 0.5 * (M + M.T)
-    return BlockSystem(
-        K_FF=K[:nf, :nf], K_FE=K[:nf, nf:], K_EF=K[nf:, :nf], K_EE=K[nf:, nf:],
-        M_FF=M[:nf, :nf], M_FE=M[:nf, nf:], M_EF=M[nf:, :nf], M_EE=M[nf:, nf:],
-        F_F=None if F is None else F[:nf],
-        F_E=None if F is None else F[nf:])
+    ndof = space.n_fem + space.n_enr
+    q = panel_basis(space, space.p + 2)
+    kap = sample(prob.kappa, q.x)
+    if np.any(kap <= 0.0):
+        raise CoefficientNotPositiveError(
+            f"kappa <= 0 sampled at x={q.x[kap <= 0.0][0]:.6g}")
+    i, j = q.rows[:, :, None], q.rows[:, None, :]
+    index = np.where((i >= 0) & (j >= 0), i * ndof + j, -1)
+    K = _scatter(index, _gram(q.ders, kap * q.w), ndof * ndof)
+    M = _scatter(index, _gram(q.vals, q.w), ndof * ndof)
+    F = None if prob.source is None else _load(space, prob)
+    return BlockSystem(K.reshape(ndof, ndof), M.reshape(ndof, ndof), F,
+                       space.n_fem)
 
 
 def assemble_load(space, prob):
     """Load sub-vectors (F_F, F_E) for the source problem."""
     if prob.source is None:
         raise MissingSourceError("problem has no source term")
-    nf, ne = space.n_fem, space.n_enr
-    F = np.zeros(nf + ne)
-    rule = gauss_rule(space.p + 6)
-    for panel in panel_list(space.mesh):
-        rows, vals, _, xq, wq = _basis_table(space, panel, rule)
-        F[rows] += vals @ (wq * prob.source(xq))
-    return F[:nf], F[nf:]
+    F = _load(space, prob)
+    return F[:space.n_fem], F[space.n_fem:]

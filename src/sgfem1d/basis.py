@@ -14,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DiscontinuousInputError, InvalidArgumentError
+from .exceptions import (DiscontinuousInputError, InvalidArgumentError,
+                         OutOfDomainError)
 from .mesh import locate
+from .quadrature import composite_rule, panels
 
 
 def lagrange_all(p, t, deriv=0):
@@ -26,25 +28,26 @@ def lagrange_all(p, t, deriv=0):
     """
     t = np.asarray(t, dtype=float)
     ts = np.linspace(0.0, 1.0, p + 1)
-    out = np.empty((p + 1,) + t.shape)
-    for i in range(p + 1):
-        others = [m for m in range(p + 1) if m != i]
-        denom = np.prod([ts[i] - ts[m] for m in others])
-        if deriv == 0:
-            num = np.ones_like(t)
-            for m in others:
-                num = num * (t - ts[m])
-            out[i] = num / denom
-        else:
-            s = np.zeros_like(t)
-            for skip in others:
-                term = np.ones_like(t)
-                for m in others:
-                    if m != skip:
-                        term = term * (t - ts[m])
-                s = s + term
-            out[i] = s / denom
-    return out
+    d = t - ts.reshape((p + 1,) + (1,) * t.ndim)
+    # L_i = pre_i suf_i / denom_i with pre_i (suf_i) the product of the
+    # d_m = t - t_m over m < i (m > i); the product rule carries derivatives
+    pre, suf = np.ones_like(d), np.ones_like(d)
+    dpre, dsuf = np.zeros_like(d), np.zeros_like(d)
+    for m in range(p):
+        k = p - m
+        dpre[m + 1] = dpre[m] * d[m] + pre[m]
+        pre[m + 1] = pre[m] * d[m]
+        dsuf[k - 1] = dsuf[k] * d[k] + suf[k]
+        suf[k - 1] = suf[k] * d[k]
+    denom = np.prod(ts[:, None] - ts + np.eye(p + 1), axis=1)
+    denom = denom.reshape((p + 1,) + (1,) * t.ndim)
+    if deriv == 0:
+        return pre * suf / denom
+    out = (dpre * suf + pre * dsuf) / denom
+    # The derivatives of a partition of unity sum to zero.  Enforcing it
+    # keeps K * const = 0 on each element to rounding: a table shared by
+    # every element would otherwise repeat its error in every row of K.
+    return out - out.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -243,33 +246,92 @@ def build_interface_interpolant(u0, u1, space):
     return DofVector(u_F=uF, u_E=uE)
 
 
+@dataclass(frozen=True)
+class PanelBasis:
+    """Every basis function of a space on every integration panel, at the
+    panel's Gauss points: the batched quadrature kernel.
+
+    x, w : (panels, points) points and weights (w is None where the
+        points are not a quadrature rule, as in eval_solution)
+    rows : (panels, functions) global row of each function slot, FEM rows
+        0..n_fem-1 first and enrichment rows after; -1 marks a slot that
+        holds no function on that panel (a Dirichlet boundary node, or an
+        enrichment slot off the interface element) and is to be dropped
+    vals, ders : (panels, functions, points) values and x-derivatives
+    """
+
+    x: np.ndarray
+    w: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    ders: np.ndarray
+
+    def combine(self, dofs, deriv=0):
+        """The function with coefficients dofs (or its derivative) at every
+        point, shape (panels, points)."""
+        c = np.concatenate([dofs.u_F, dofs.u_E, [0.0]])  # row -1 picks 0
+        return np.einsum("pf,pfn->pn", c[self.rows],
+                         self.ders if deriv else self.vals)
+
+
+def _basis_values(space, elements, t, which):
+    """(rows, vals, ders) as in PanelBasis for panels lying in the 1-based
+    elements, panel i at the reference points t[which[i]]."""
+    mesh, p, nf, ne = space.mesh, space.p, space.n_fem, space.n_enr
+    shape = (len(elements), p + 1 + ne, t.shape[1])
+    rows, vals, ders = np.full(shape[:2], -1), np.zeros(shape), np.zeros(shape)
+    g = (elements[:, None] - 1) * p + np.arange(p + 1)
+    rows[:, :p + 1] = np.where(g <= nf, g - 1, -1)
+    vals[:, :p + 1] = lagrange_all(p, t, 0).transpose(1, 0, 2)[which]
+    h = mesh.nodes[elements] - mesh.nodes[elements - 1]
+    ders[:, :p + 1] = (lagrange_all(p, t, 1).transpose(1, 0, 2)[which]
+                       / h[:, None, None])
+    if ne:
+        # w = h * reference_enrichment, on the interface element only
+        on = elements == mesh.r
+        a, b = mesh.element_bounds(mesh.r)
+        nu = (mesh.gamma - a) / (b - a)
+        w = (b - a) * reference_enrichment(nu, t[which[on]])[:, None]
+        dw = reference_enrichment(nu, t[which[on]], 1)[:, None]
+        local = np.array(space.enriched_set) - (mesh.r - 1) * p
+        phi, dphi = vals[on][:, local], ders[on][:, local]
+        rows[on, p + 1:] = nf + np.arange(ne)
+        vals[on, p + 1:] = w * phi
+        ders[on, p + 1:] = dw * phi + w * dphi
+    return rows, vals, ders
+
+
+def panel_basis(space, n):
+    """The n-point Gauss rule on every integration panel of the space's
+    mesh (split at gamma on non-fitting meshes) with every basis function
+    evaluated there, as a PanelBasis."""
+    mesh = space.mesh
+    elements, edges = panels(mesh)
+    x, w = composite_rule(edges[:-1], edges[1:], n)
+    # A panel is a whole element or, in the interface element of a
+    # non-fitting mesh, one side of gamma: shape tables on these three
+    # reference intervals serve every panel.
+    a, b = mesh.element_bounds(mesh.r)
+    nu = (mesh.gamma - a) / (b - a)
+    t, _ = composite_rule([0.0, 0.0, nu], [1.0, nu, 1.0], n)
+    which = np.zeros(len(elements), dtype=int)
+    if not mesh.fitting:
+        which[mesh.r - 1:mesh.r + 1] = (1, 2)
+    return PanelBasis(x, w, *_basis_values(space, elements, t, which))
+
+
 def eval_solution(space, dofs, x, deriv=0):
-    """Evaluate a DofVector at points x all lying inside one element
-    (1-based index found from the first point).  Returns an array."""
+    """Evaluate a DofVector (or its derivative) at points x in [0, 1].  A
+    point on a node belongs to the element on its left (x = 0 to the
+    first); at gamma the derivative is the right limit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    mesh, p = space.mesh, space.p
-    k = locate(mesh, 0.5 * (x.min() + x.max()))
-    a, b = mesh.element_bounds(k)
-    h = b - a
-    t = (x - a) / h
-    phi = lagrange_all(p, t, deriv)
-    if deriv:
-        phi = phi / h
-    gidx = space.element_dofs(k)
-    out = np.zeros_like(x)
-    for i, gid in enumerate(gidx):
-        if 1 <= gid <= space.n_fem:
-            out += dofs.u_F[gid - 1] * phi[i]
-    if space.enriched and k == mesh.r and space.n_enr:
-        w = np.array([eval_enrichment(space, xi, 0) for xi in x])
-        if deriv:
-            dw = np.array([eval_enrichment(space, xi, 1) for xi in x])
-        phi0 = lagrange_all(p, t, 0)
-        dphi0 = lagrange_all(p, t, 1) / h if deriv else None
-        for pos, gid in enumerate(space.enriched_set):
-            i = gid - (k - 1) * p
-            if deriv:
-                out += dofs.u_E[pos] * (dw * phi0[i] + w * dphi0[i])
-            else:
-                out += dofs.u_E[pos] * w * phi0[i]
-    return out
+    flat = x.ravel()[:, None]
+    if not np.all((flat >= 0.0) & (flat <= 1.0)):
+        raise OutOfDomainError("points must lie in [0, 1]")
+    nodes = space.mesh.nodes
+    elements = np.maximum(np.searchsorted(nodes, flat[:, 0]), 1)
+    a, b = nodes[elements - 1, None], nodes[elements, None]
+    t = (flat - a) / (b - a)
+    q = PanelBasis(flat, None, *_basis_values(space, elements, t,
+                                              np.arange(len(flat))))
+    return q.combine(dofs, deriv).reshape(x.shape)

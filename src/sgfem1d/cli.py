@@ -14,8 +14,9 @@ from .analytic import exact_eigenfunction, solve_matching_system
 from .assembly import InterfaceProblem, assemble
 from .basis import DofVector, build_space, eval_solution
 from .densela import generalized_eigs
-from .exceptions import InvalidArgumentError, SgfemError
-from .mesh import build_uniform_mesh, locate
+from .errors import align_eigenfunction
+from .exceptions import InsufficientDataError, InvalidArgumentError, SgfemError
+from .mesh import build_uniform_mesh
 from .sweep import CASES, emit_report, load_config, run_cond_sweep
 
 
@@ -89,14 +90,12 @@ def _dump_function(cfg, gamma, eta, idx, path):
     sol = generalized_eigs(system.K, system.M, idx)
     vec = sol.vectors[:, idx - 1]
     dofs = DofVector(vec[:space.n_fem], vec[space.n_fem:])
-    from .errors import align_eigenfunction
     dofs = align_eigenfunction(dofs, space, exact)
     xs = np.linspace(0.0, 1.0, 1000)
     with open(path, "w") as fh:
         fh.write("x,u_h,u\n")
-        for x in xs:
-            vh = eval_solution(space, dofs, np.array([x]))[0]
-            fh.write(f"{x:.17g},{vh:.17g},{exact.value(x):.17g}\n")
+        for x, vh, v in zip(xs, eval_solution(space, dofs, xs), exact.value(xs)):
+            fh.write(f"{x:.17g},{vh:.17g},{v:.17g}\n")
 
 
 def main(argv=None):
@@ -136,6 +135,8 @@ def main(argv=None):
             gamma, eta = 1.0 / 3.0, 4.0
         else:
             overrides["problem"] = "eigen"
+            if args.case is not None and (args.gamma, args.eta) != (None, None):
+                raise InvalidArgumentError("give either --case or --gamma/--eta")
             if args.case is not None:
                 overrides["case"] = "case2" if args.case == "1" else "case3"
             if args.eigs is not None:
@@ -167,12 +168,17 @@ def main(argv=None):
                     else sweep_mod.report_markdown(report))
             print(text, end="")
         return 0
-    except (InvalidArgumentError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (InvalidArgumentError, InsufficientDataError, OSError) as exc:
+        print(f"config error: {_message(exc)}", file=sys.stderr)
         return 2
     except SgfemError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_message(exc)}", file=sys.stderr)
         return 3
+
+
+def _message(exc):
+    """The exception text and its notes (where the sweep names the cell)."""
+    return " ".join([str(exc), *getattr(exc, "__notes__", ())])
 
 
 if __name__ == "__main__":

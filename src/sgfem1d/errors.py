@@ -4,10 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import eval_solution
+from .basis import panel_basis
 from .exceptions import (DegenerateAlignmentError, InsufficientDataError,
                          InvalidArgumentError)
-from .quadrature import gauss_rule, panel_list
+from .quadrature import sample
 
 # Errors below MACHINE_FLOOR are dominated by rounding in the dense
 # generalized eigensolve (the plateau sits near 5e-12 at N=160) and are
@@ -27,47 +27,25 @@ class ErrorRecord:
     value: float
 
 
-def _panel_sum(space, integrand, n):
-    rule = gauss_rule(n)
-    total = 0.0
-    for k, lo, hi in panel_list(space.mesh):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xq = mid + half * rule.points
-        total += half * np.sum(rule.weights * integrand(xq))
-    return total
-
-
 def h1_semi_error(uh, space, exact):
     """sqrt(int (u' - u_h')^2) with interface-split quadrature."""
-    n = space.p + 4
-
-    def integrand(xq):
-        duh = eval_solution(space, uh, xq, deriv=1)
-        return (exact.deriv(xq) - duh) ** 2
-
-    return np.sqrt(_panel_sum(space, integrand, n))
+    q = panel_basis(space, space.p + 4)
+    diff = sample(exact.deriv, q.x) - q.combine(uh, 1)
+    return np.sqrt(np.sum(q.w * diff ** 2))
 
 
 def l2_error(uh, space, exact):
     """L2 norm of u - u_h with interface-split quadrature."""
-    n = space.p + 4
-
-    def integrand(xq):
-        vh = eval_solution(space, uh, xq, deriv=0)
-        return (exact.value(xq) - vh) ** 2
-
-    return np.sqrt(_panel_sum(space, integrand, n))
+    q = panel_basis(space, space.p + 4)
+    diff = sample(exact.value, q.x) - q.combine(uh)
+    return np.sqrt(np.sum(q.w * diff ** 2))
 
 
 def align_eigenfunction(uh, space, exact):
     """Flip the sign of uh, if needed, so its L2 inner product with the
     exact eigenfunction is positive."""
-    n = space.p + 4
-
-    def integrand(xq):
-        return eval_solution(space, uh, xq, 0) * exact.value(xq)
-
-    inner = _panel_sum(space, integrand, n)
+    q = panel_basis(space, space.p + 4)
+    inner = np.sum(q.w * q.combine(uh) * sample(exact.value, q.x))
     if abs(inner) < 0.1:
         raise DegenerateAlignmentError(
             f"inner product {inner:.3e} too small; eigenpair mismatch?")

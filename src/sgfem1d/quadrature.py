@@ -1,6 +1,12 @@
-"""Gauss-Legendre rules and interface-split piecewise integration."""
+"""Gauss-Legendre rules and composite (panel-wise) quadrature.
+
+Integration panels are the mesh elements, with the interface element split
+at gamma on non-fitting meshes, so that every integrand of the package is
+smooth (for the discrete ones, polynomial) on each panel.
+"""
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -16,62 +22,54 @@ class QuadRule:
     weights: np.ndarray
 
 
+@cache  # at most 30 rules, read-only: every caller may share them
 def gauss_rule(n):
-    """n-point Gauss-Legendre rule, nodes by Newton iteration on P_n."""
+    """n-point Gauss-Legendre rule, 1 <= n <= 30, nodes ascending."""
     if not 1 <= n <= 30:
         raise InvalidArgumentError(f"point count must be in 1..30, got {n}")
-    # Chebyshev initial guesses, then Newton on the Legendre polynomial.
-    k = np.arange(n)
-    x = np.cos(np.pi * (k + 0.75) / (n + 0.5))
-    for _ in range(100):
-        p0 = np.ones_like(x)
-        p1 = x.copy()
-        for m in range(2, n + 1):
-            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        dx = p1 / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    # recompute derivative at converged nodes for the weights
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    dp = n * (x * p1 - p0) / (x * x - 1.0)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    return QuadRule(n=n, points=x[order], weights=w[order])
+    points, weights = np.polynomial.legendre.leggauss(n)
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadRule(n=n, points=points, weights=weights)
+
+
+def composite_rule(lo, hi, n):
+    """Points and weights, each of shape (panels, n), of the n-point Gauss
+    rule on every panel [lo[i], hi[i]]."""
+    rule = gauss_rule(n)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    return mid + half * rule.points, half * rule.weights
+
+
+def panels(mesh):
+    """(elements, edges): the 1-based element index of every integration
+    panel and the panel edges.  The panels are the elements, with the
+    interface element split at gamma on non-fitting meshes."""
+    N, r = mesh.N, mesh.r
+    if mesh.fitting:
+        return np.arange(1, N + 1), mesh.nodes
+    return (np.concatenate([np.arange(1, r + 1), np.arange(r, N + 1)]),
+            np.concatenate([mesh.nodes[:r], [mesh.gamma], mesh.nodes[r:]]))
 
 
 def panel_list(mesh):
-    """Integration panels: every element, with the interface element split
-    at gamma on non-fitting meshes.  Each entry is (element_index, lo, hi)."""
-    panels = []
-    for j in range(1, mesh.N + 1):
-        a, b = mesh.element_bounds(j)
-        if j == mesh.r and not mesh.fitting:
-            panels.append((j, a, mesh.gamma))
-            panels.append((j, mesh.gamma, b))
-        else:
-            panels.append((j, a, b))
-    return panels
+    """The integration panels as (element_index, lo, hi) tuples."""
+    elements, edges = panels(mesh)
+    return list(zip(elements.tolist(), edges[:-1].tolist(), edges[1:].tolist()))
 
 
-def integrate_panel(f, lo, hi, rule):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xq = mid + half * rule.points
-    return half * np.sum(rule.weights * f(xq))
+def sample(f, x):
+    """f called once on the flattened points x, reshaped like x (a scalar
+    result is broadcast)."""
+    flat = x.ravel()
+    return np.broadcast_to(np.asarray(f(flat), dtype=float),
+                           flat.shape).reshape(x.shape)
 
 
 def integrate_piecewise(f, mesh, n):
-    """Integrate f over [0, 1] with Gauss panels split at the interface.
-
-    f must accept numpy arrays of points.
-    """
-    rule = gauss_rule(n)
-    total = 0.0
-    for _, lo, hi in panel_list(mesh):
-        total += integrate_panel(f, lo, hi, rule)
-    return total
+    """Integrate f over [0, 1] with n-point Gauss panels split at the
+    interface.  f must accept numpy arrays of points."""
+    edges = panels(mesh)[1]
+    x, w = composite_rule(edges[:-1], edges[1:], n)
+    return float(np.sum(w * sample(f, x)))

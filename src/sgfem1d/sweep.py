@@ -4,6 +4,7 @@ import configparser
 import io
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from .basis import DofVector, build_space
 from .densela import generalized_eigs, scaled_condition_number, solve_spd
 from .errors import (ErrorRecord, align_eigenfunction, fit_rate, h1_semi_error,
                      l2_error, relative_eigenvalue_error)
-from .exceptions import (EigenvalueMismatchError, InsufficientDataError,
-                         InvalidArgumentError)
+from .exceptions import (DegenerateAlignmentError, EigenvalueMismatchError,
+                         InsufficientDataError, InvalidArgumentError)
 from .mesh import build_uniform_mesh
 
 # named coefficient configurations used throughout the experiments
@@ -72,6 +73,35 @@ def _fit_rates(rows):
     return rates
 
 
+def _sweep(cfg, gamma, cell, meta=None):
+    """Run cell(space, method, warnings) -> [ErrorRecord] at every
+    (p, N, method) of the grid and fit the rates; meta is added to the
+    report's metadata.  An exception from a cell is re-raised as it is,
+    with the cell attached as a note."""
+    rows, warnings, fitting_cells = [], [], []
+    t0 = time.time()
+    for p in cfg.degrees:
+        for N in cfg.Ns:
+            mesh = build_uniform_mesh(N, gamma)
+            for method in cfg.methods:
+                try:
+                    space = build_space(mesh, p, enrich=(method == "SGFEM"))
+                    if method == "SGFEM" and mesh.fitting:
+                        fitting_cells.append((p, N))
+                    rows.extend(cell(space, method, warnings))
+                except Exception as exc:
+                    # what add_note does, also on Python 3.10
+                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                                     f"(p={p}, N={N}, {method})"]
+                    raise
+    rates = _fit_rates(rows)
+    if not rates:
+        warnings.append("fewer than 3 refinement levels; no rates fitted")
+    meta = {"config": cfg, "wall_time": time.time() - t0,
+            "fitting_cells": fitting_cells, **(meta or {})}
+    return Report(rows=rows, rates=rates, metadata=meta, warnings=warnings)
+
+
 def run_source_sweep(cfg):
     """Solve the manufactured source problem over the (p, N, method) grid and
     record H1-seminorm and L2 errors."""
@@ -81,32 +111,15 @@ def run_source_sweep(cfg):
     u, f = manufactured_source()
     prob = InterfaceProblem(gamma=1.0 / 3.0, kappa0=1.0, kappa1=4.0, source=f)
 
-    rows, warnings, fitting_cells = [], [], []
-    t0 = time.time()
-    for p in cfg.degrees:
-        for N in cfg.Ns:
-            mesh = build_uniform_mesh(N, prob.gamma)
-            for method in cfg.methods:
-                try:
-                    space = build_space(mesh, p, enrich=(method == "SGFEM"))
-                    if method == "SGFEM" and mesh.fitting:
-                        fitting_cells.append((p, N))
-                    system = assemble(space, prob)
-                    U = solve_spd(system.K, system.F)
-                    dofs = DofVector(U[:space.n_fem], U[space.n_fem:])
-                    rows.append(ErrorRecord(N, p, method, "h1_semi_u",
-                                            h1_semi_error(dofs, space, u)))
-                    rows.append(ErrorRecord(N, p, method, "l2_u",
-                                            l2_error(dofs, space, u)))
-                except Exception as exc:
-                    raise type(exc)(
-                        f"(p={p}, N={N}, {method}): {exc}") from exc
-    rates = _fit_rates(rows)
-    if not rates:
-        warnings.append("fewer than 3 refinement levels; no rates fitted")
-    meta = {"config": cfg, "wall_time": time.time() - t0,
-            "fitting_cells": fitting_cells}
-    return Report(rows=rows, rates=rates, metadata=meta, warnings=warnings)
+    def cell(space, method, warnings):
+        system = assemble(space, prob)
+        U = solve_spd(system.K, system.F)
+        dofs = DofVector(U[:space.n_fem], U[space.n_fem:])
+        rec = partial(ErrorRecord, space.mesh.N, space.p, method)
+        return [rec("h1_semi_u", h1_semi_error(dofs, space, u)),
+                rec("l2_u", l2_error(dofs, space, u))]
+
+    return _sweep(cfg, prob.gamma, cell)
 
 
 def _check_gaps(pairs, indices):
@@ -123,7 +136,9 @@ def _check_gaps(pairs, indices):
 def run_eigen_sweep(cfg):
     """Solve the interface eigenvalue problem over the grid and record
     relative eigenvalue errors (and eigenfunction errors when requested via
-    outputs containing 'eigenfunctions')."""
+    outputs containing 'eigenfunctions').  An eigenfunction too coarse to
+    align with the exact one is recorded as unresolved: a warning and no
+    error rows; its eigenvalue row stays."""
     cfg.validate()
     if cfg.problem != "eigen":
         raise InvalidArgumentError("config is not an eigen sweep")
@@ -139,56 +154,45 @@ def run_eigen_sweep(cfg):
         if want_fns else {}
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
 
-    rows, warnings, fitting_cells = [], [], []
-    t0 = time.time()
-    for p in cfg.degrees:
-        for N in cfg.Ns:
-            mesh = build_uniform_mesh(N, gamma)
-            for method in cfg.methods:
-                try:
-                    space = build_space(mesh, p, enrich=(method == "SGFEM"))
-                    if method == "SGFEM" and mesh.fitting:
-                        fitting_cells.append((p, N))
-                    system = assemble(space, prob)
-                    sol = generalized_eigs(system.K, system.M, kmax)
-                    for idx in cfg.eigen_indices:
-                        lam_h = sol.values[idx - 1]
-                        rows.append(ErrorRecord(
-                            N, p, method, f"rel_lambda_{idx}",
-                            relative_eigenvalue_error(lam_h, pairs[idx - 1].lam)))
-                        if want_fns:
-                            vec = sol.vectors[:, idx - 1]
-                            dofs = DofVector(vec[:space.n_fem], vec[space.n_fem:])
-                            dofs = align_eigenfunction(dofs, space, exact_fns[idx])
-                            rows.append(ErrorRecord(
-                                N, p, method, f"h1_u{idx}",
-                                h1_semi_error(dofs, space, exact_fns[idx])))
-                            rows.append(ErrorRecord(
-                                N, p, method, f"l2_u{idx}",
-                                l2_error(dofs, space, exact_fns[idx])))
-                except Exception as exc:
-                    raise type(exc)(
-                        f"(p={p}, N={N}, {method}): {exc}") from exc
-    rates = _fit_rates(rows)
-    if not rates:
-        warnings.append("fewer than 3 refinement levels; no rates fitted")
-    meta = {"config": cfg, "wall_time": time.time() - t0,
-            "fitting_cells": fitting_cells, "gamma": gamma, "eta": eta}
-    return Report(rows=rows, rates=rates, metadata=meta, warnings=warnings)
+    def cell(space, method, warnings):
+        system = assemble(space, prob)
+        sol = generalized_eigs(system.K, system.M, kmax)
+        rec = partial(ErrorRecord, space.mesh.N, space.p, method)
+        rows = []
+        for idx in cfg.eigen_indices:
+            rows.append(rec(f"rel_lambda_{idx}", relative_eigenvalue_error(
+                sol.values[idx - 1], pairs[idx - 1].lam)))
+            if not want_fns:
+                continue
+            exact, v = exact_fns[idx], sol.vectors[:, idx - 1]
+            try:
+                dofs = align_eigenfunction(
+                    DofVector(v[:space.n_fem], v[space.n_fem:]), space, exact)
+            except DegenerateAlignmentError as exc:
+                warnings.append(f"(p={space.p}, N={space.mesh.N}, {method}) "
+                                f"eigenfunction {idx} unresolved: {exc}")
+                continue
+            rows += [rec(f"h1_u{idx}", h1_semi_error(dofs, space, exact)),
+                     rec(f"l2_u{idx}", l2_error(dofs, space, exact))]
+        return rows
+
+    return _sweep(cfg, gamma, cell, {"gamma": gamma, "eta": eta})
 
 
 def run_cond_sweep(p, Ns, gamma=1.0 / 3.0, eta=4.0, method="SGFEM"):
     """Scaled condition number of the stiffness matrix along a refinement
-    ladder, with the fitted log-log slope versus 1/h."""
+    ladder, with the fitted log-log slope versus 1/h (which needs >= 3
+    distinct N, as fit_rate does)."""
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
-    conds = []
+    records = []
     for N in Ns:
         mesh = build_uniform_mesh(N, gamma)
         space = build_space(mesh, p, enrich=(method == "SGFEM"))
         system = assemble(space, prob)
-        conds.append(scaled_condition_number(system.K))
-    slope = float(np.polyfit(np.log(Ns), np.log(conds), 1)[0])
-    return list(zip(Ns, conds)), slope
+        records.append(ErrorRecord(N, p, method, "scaled_cond",
+                                   scaled_condition_number(system.K)))
+    # fit_rate's slope is against log(1/N)
+    return [(r.N, r.value) for r in records], -fit_rate(records)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
-                     build_uniform_mesh, eval_solution, solve_spd)
+                     build_uniform_mesh, eval_enrichment, eval_fem_basis,
+                     eval_solution, solve_spd)
 from sgfem1d.assembly import assemble_load
 from sgfem1d.exceptions import (CoefficientNotPositiveError,
                                 InvalidArgumentError, MissingSourceError)
@@ -141,3 +144,75 @@ def test_galerkin_orthogonality_residual(benchmark_problem):
     U = solve_spd(sys_.K, sys_.F)
     res = sys_.K @ U - sys_.F
     assert np.max(np.abs(res)) < 1e-9 * max(1.0, np.max(np.abs(sys_.F)))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against a per-panel, per-point oracle
+
+def _brute_force_system(space, prob):
+    """K, M and F as Gauss sums over each panel (elements, the interface
+    element split at gamma), point by point, from the scalar basis
+    evaluators: p+2 points for K and M, p+6 for F, as assemble uses."""
+    mesh, nf = space.mesh, space.n_fem
+    ndof = nf + space.n_enr
+    K, M, F = np.zeros((ndof, ndof)), np.zeros((ndof, ndof)), np.zeros(ndof)
+
+    def basis(x, deriv):
+        fem = [eval_fem_basis(space, j, x, deriv) for j in range(1, nf + 1)]
+        w, dw = eval_enrichment(space, x), eval_enrichment(space, x, 1)
+        enr = [dw * eval_fem_basis(space, g, x) + w * eval_fem_basis(space, g, x, 1)
+               if deriv else w * eval_fem_basis(space, g, x)
+               for g in space.enriched_set]
+        return np.array(fem + enr)
+
+    for k in range(1, mesh.N + 1):
+        a, b = mesh.element_bounds(k)
+        cuts = [(a, mesh.gamma), (mesh.gamma, b)] \
+            if k == mesh.r and not mesh.fitting else [(a, b)]
+        for lo, hi in cuts:
+            for n, load in ((space.p + 2, False), (space.p + 6, True)):
+                for t, wt in zip(*np.polynomial.legendre.leggauss(n)):
+                    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * t
+                    wq = 0.5 * (hi - lo) * wt
+                    v = basis(x, 0)
+                    if load:
+                        F += wq * prob.source(x) * v
+                    else:
+                        d = basis(x, 1)
+                        K += wq * prob.kappa(x) * np.outer(d, d)
+                        M += wq * np.outer(v, v)
+    return K, M, F
+
+
+def _scaled_error(got, want, scale):
+    return np.max(np.abs(np.asarray(got) - want) / scale)
+
+
+@st.composite
+def _cells(draw):
+    N = draw(st.integers(2, 8))
+    gamma = draw(st.one_of(st.integers(1, N - 1).map(lambda j: j / N),
+                           st.floats(0.02, 0.98)))
+    return (N, gamma, draw(st.integers(1, 4)), draw(st.booleans()),
+            draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cells())
+@example((5, 0.25, 2, True, 1.0, 2.0))       # gamma in the left half of r
+@example((8, 0.35, 4, True, 3.0, 0.5))       # gamma in the right half of r
+@example((6, 1.0 / 3.0, 3, True, 1.0, 4.0))  # fitting: no enrichment
+def test_kernel_matches_pointwise_oracle(cell):
+    N, gamma, p, enrich, k0, k1 = cell
+    mesh = build_uniform_mesh(N, gamma)
+    space = build_space(mesh, p, enrich=enrich)
+    prob = InterfaceProblem(gamma=gamma, kappa0=k0, kappa1=k1,
+                            source=lambda x: np.exp(x) * np.cos(5.0 * x))
+    sys_ = assemble(space, prob)
+    K, M, F = _brute_force_system(space, prob)
+    # each entry to 1e-12 of its Cauchy-Schwarz bound: sqrt(A_ii A_jj) for
+    # K and M, and max|f| sqrt(M_ii) <= 3 sqrt(M_ii) for F
+    dK, dM = np.sqrt(np.diag(K)), np.sqrt(np.diag(M))
+    assert _scaled_error(sys_.K, K, np.outer(dK, dK)) <= 1e-12
+    assert _scaled_error(sys_.M, M, np.outer(dM, dM)) <= 1e-12
+    assert _scaled_error(sys_.F, F, 3.0 * dM) <= 1e-12

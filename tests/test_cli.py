@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from sgfem1d import sweep
 from sgfem1d.cli import main
+from sgfem1d.exceptions import NotPositiveDefiniteError
 
 
 def test_oracle_output(capsys):
@@ -110,3 +112,43 @@ def test_dump_function(tmp_path, capsys):
     assert len(lines) == 1001
     x, uh, u = map(float, lines[500].split(","))
     assert uh == pytest.approx(u, abs=0.05)
+
+
+def test_cond_needs_three_levels(capsys):
+    # one level used to print a one-point "slope" and exit 0
+    assert main(["cond", "--N-list", "20"]) == 2
+    assert "3 distinct" in capsys.readouterr().err
+    assert main(["cond", "--N-list", "20,40,40"]) == 2
+    capsys.readouterr()
+
+
+def test_case_conflicts_with_gamma_or_eta(capsys):
+    # --case used to win silently over --gamma
+    assert main(["eigen", "--case", "1", "--gamma", "0.3"]) == 2
+    assert "--case" in capsys.readouterr().err
+    assert main(["eigen", "--case", "2", "--eta", "2.5"]) == 2
+    capsys.readouterr()
+
+
+def test_unresolved_eigenfunction_does_not_abort_sweep(capsys):
+    # FEM p=1 N=10 resolves u_8 too coarsely to align with the exact one
+    code = main(["eigen", "--case", "1", "--with-eigenfunctions"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "(p=1, N=10, FEM) eigenfunction 8 unresolved" in captured.err
+    rows = {(r.method, r.p, r.N, r.quantity) for r in sweep.parse_csv(captured.out)}
+    assert ("FEM", 1, 10, "rel_lambda_8") in rows
+    assert ("FEM", 1, 10, "h1_u8") not in rows
+    assert ("FEM", 1, 10, "l2_u8") not in rows
+    assert ("FEM", 1, 20, "h1_u8") in rows
+    assert ("SGFEM", 1, 10, "h1_u8") in rows
+
+
+def test_numerical_failure_names_the_cell(monkeypatch, capsys):
+    def fail(K, F):
+        raise NotPositiveDefiniteError("not SPD")
+
+    monkeypatch.setattr(sweep, "solve_spd", fail)
+    assert main(["source", "--p", "2", "--N", "10,20", "--methods", "fem"]) == 3
+    err = capsys.readouterr().err
+    assert "not SPD" in err and "(p=2, N=10, FEM)" in err

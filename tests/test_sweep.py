@@ -5,6 +5,7 @@ import pytest
 
 from sgfem1d import (Report, SweepConfig, emit_report, run_cond_sweep,
                      run_eigen_sweep, run_source_sweep)
+from sgfem1d import sweep
 from sgfem1d.exceptions import InvalidArgumentError
 from sgfem1d.sweep import load_config, parse_csv, report_csv, report_markdown
 
@@ -158,3 +159,23 @@ def test_error_context_includes_grid_point():
                       degrees=(1,), Ns=(10,), methods=("SGFEM",))
     with pytest.raises(InvalidArgumentError, match="eta"):
         run_eigen_sweep(cfg)
+
+
+def test_cell_error_is_reraised_with_the_cell_attached(monkeypatch):
+    # an exception whose constructor takes more than a message survives
+    class CodedError(Exception):
+        def __init__(self, msg, code):
+            super().__init__(msg)
+            self.code = code
+
+    err = CodedError("solver gave up", 7)
+
+    def fail(K, F):
+        raise err
+
+    monkeypatch.setattr(sweep, "solve_spd", fail)
+    cfg = SweepConfig(problem="source", degrees=(2,), Ns=(10,), methods=("FEM",))
+    with pytest.raises(CodedError) as info:
+        run_source_sweep(cfg)
+    assert info.value is err and info.value.code == 7
+    assert info.value.__notes__ == ["(p=2, N=10, FEM)"]
