@@ -37,25 +37,35 @@ class InterfaceProblem:
 
 class BlockSystem:
     """Assembled stiffness K, mass M and, for a source problem, load F
-    (else None), read-only, FEM rows first and enrichment rows after.  The
-    2x2 blocks K_FF..M_EE and F_F, F_E are views into them."""
+    (else None), read-only, FEM rows first and enrichment rows after.  M is
+    built by the zero-argument callable ``mass`` on first access (a source
+    problem needs only K and F) and kept.  The 2x2 blocks K_FF..M_EE and
+    F_F, F_E are views into them."""
 
-    def __init__(self, K, M, F, n_fem):
-        for a in (K, M) if F is None else (K, M, F):
+    def __init__(self, K, mass, F, n_fem):
+        for a in (K,) if F is None else (K, F):
             a.setflags(write=False)
-        self._K, self._M, self._F, self.n_fem = K, M, F, n_fem
+        self._K, self._mass, self._M, self._F = K, mass, None, F
+        self.n_fem = n_fem
+
+    @property
+    def M(self):
+        if self._M is None:
+            self._M = self._mass()
+            self._M.setflags(write=False)
+            self._mass = None
+        return self._M
 
     K = property(lambda self: self._K)
-    M = property(lambda self: self._M)
     F = property(lambda self: self._F)
     K_FF = property(lambda self: self._K[:self.n_fem, :self.n_fem])
     K_FE = property(lambda self: self._K[:self.n_fem, self.n_fem:])
     K_EF = property(lambda self: self._K[self.n_fem:, :self.n_fem])
     K_EE = property(lambda self: self._K[self.n_fem:, self.n_fem:])
-    M_FF = property(lambda self: self._M[:self.n_fem, :self.n_fem])
-    M_FE = property(lambda self: self._M[:self.n_fem, self.n_fem:])
-    M_EF = property(lambda self: self._M[self.n_fem:, :self.n_fem])
-    M_EE = property(lambda self: self._M[self.n_fem:, self.n_fem:])
+    M_FF = property(lambda self: self.M[:self.n_fem, :self.n_fem])
+    M_FE = property(lambda self: self.M[:self.n_fem, self.n_fem:])
+    M_EF = property(lambda self: self.M[self.n_fem:, :self.n_fem])
+    M_EE = property(lambda self: self.M[self.n_fem:, self.n_fem:])
     F_F = property(lambda self: None if self._F is None else self._F[:self.n_fem])
     F_E = property(lambda self: None if self._F is None else self._F[self.n_fem:])
 
@@ -85,7 +95,7 @@ def _load(space, prob):
 
 def assemble(space, prob):
     """Assemble the block stiffness/mass system (and load if a source is
-    present)."""
+    present); the mass matrix is built when it is first read."""
     if abs(prob.gamma - space.mesh.gamma) > 1e-13:
         raise InvalidArgumentError("problem and mesh disagree on gamma")
     ndof = space.n_fem + space.n_enr
@@ -97,10 +107,12 @@ def assemble(space, prob):
     i, j = q.rows[:, :, None], q.rows[:, None, :]
     index = np.where((i >= 0) & (j >= 0), i * ndof + j, -1)
     K = _scatter(index, _gram(q.ders, kap * q.w), ndof * ndof)
-    M = _scatter(index, _gram(q.vals, q.w), ndof * ndof)
+
+    def mass():
+        return _scatter(index, _gram(q.vals, q.w), ndof * ndof).reshape(ndof, ndof)
+
     F = None if prob.source is None else _load(space, prob)
-    return BlockSystem(K.reshape(ndof, ndof), M.reshape(ndof, ndof), F,
-                       space.n_fem)
+    return BlockSystem(K.reshape(ndof, ndof), mass, F, space.n_fem)
 
 
 def assemble_load(space, prob):

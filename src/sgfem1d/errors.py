@@ -9,7 +9,7 @@ from .exceptions import (DegenerateAlignmentError, InsufficientDataError,
                          InvalidArgumentError)
 from .quadrature import sample
 
-# Errors below MACHINE_FLOOR are dominated by rounding in the dense
+# Errors below MACHINE_FLOOR are dominated by rounding in the
 # generalized eigensolve (the plateau sits near 5e-12 at N=160) and are
 # excluded from rate fits.  TABLE_FLOOR is the smaller threshold used when
 # comparing individual errors against published reference values, which

@@ -68,6 +68,23 @@ def test_block_shapes(small_sgfem_system):
     assert sys_.K.shape == (nf + ne, nf + ne)
 
 
+def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
+    from sgfem1d import assembly
+    calls = []
+    gram = assembly._gram
+    monkeypatch.setattr(assembly, "_gram",
+                        lambda f, w: calls.append(f.shape) or gram(f, w))
+    _, _, prob = benchmark_problem
+    sys_ = assemble(build_space(build_uniform_mesh(10, prob.gamma), 2), prob)
+    assert len(calls) == 1  # K only: a source problem needs K and F
+    M_EE = sys_.M_EE
+    assert len(calls) == 2
+    M = sys_.M
+    assert sys_.M is M and not M.flags.writeable
+    assert np.shares_memory(M_EE, M)
+    assert len(calls) == 2
+
+
 def test_mass_matrix_total_is_function_inner_products():
     # quadratic form u^T M u equals the L2 norm squared of the function
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
