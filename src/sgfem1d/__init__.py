@@ -9,7 +9,7 @@ tooling.
 
 from .analytic import (ExactEigenpair, ExactFunction, exact_eigenfunction,
                        manufactured_source, solve_matching_system)
-from .assembly import BlockSystem, InterfaceProblem, assemble, assemble_load
+from .assembly import BlockSystem, InterfaceProblem, assemble
 from .basis import (DofVector, EnrichedSpace, build_interface_interpolant,
                     build_space, eval_enrichment, eval_fem_basis,
                     eval_solution, represent_piecewise_poly)

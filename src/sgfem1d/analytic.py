@@ -114,12 +114,10 @@ def solve_matching_system(gamma, eta, count):
     return pairs
 
 
-def exact_eigenfunction(pair, gamma=None, eta=None):
+def exact_eigenfunction(pair):
     """L2-normalized evaluator for the eigenfunction of a matching-system
     root."""
-    gamma = pair.gamma if gamma is None else gamma
-    eta = pair.eta if eta is None else eta
-    rho = np.sqrt(eta)
+    gamma, rho = pair.gamma, np.sqrt(pair.eta)
     w1, d = pair.omega1, pair.d
     w0 = rho * w1
 

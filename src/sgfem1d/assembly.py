@@ -13,8 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import panel_basis
-from .exceptions import (CoefficientNotPositiveError, InvalidArgumentError,
-                         MissingSourceError)
+from .exceptions import CoefficientNotPositiveError, InvalidArgumentError
 from .quadrature import sample
 
 
@@ -86,19 +85,18 @@ def _gram(f, weight):
     return 0.5 * (E + E.transpose(0, 2, 1))
 
 
-def _load(space, prob):
-    # the source term need not be polynomial, so the load uses a finer rule
-    q = panel_basis(space, space.p + 6)
-    local = np.einsum("pfn,pn->pf", q.vals, q.w * sample(prob.source, q.x))
-    return _scatter(q.rows, local, space.n_fem + space.n_enr)
-
-
 def assemble(space, prob):
     """Assemble the block stiffness/mass system (and load if a source is
     present); the mass matrix is built when it is first read."""
     if abs(prob.gamma - space.mesh.gamma) > 1e-13:
         raise InvalidArgumentError("problem and mesh disagree on gamma")
     ndof = space.n_fem + space.n_enr
+    F = None
+    if prob.source is not None:
+        # the source term need not be polynomial, so the load uses a finer rule
+        q = panel_basis(space, space.p + 6)
+        F = _scatter(q.rows, np.einsum("pfn,pn->pf", q.vals,
+                                       q.w * sample(prob.source, q.x)), ndof)
     q = panel_basis(space, space.p + 2)
     kap = sample(prob.kappa, q.x)
     if np.any(kap <= 0.0):
@@ -111,13 +109,5 @@ def assemble(space, prob):
     def mass():
         return _scatter(index, _gram(q.vals, q.w), ndof * ndof).reshape(ndof, ndof)
 
-    F = None if prob.source is None else _load(space, prob)
     return BlockSystem(K.reshape(ndof, ndof), mass, F, space.n_fem)
 
-
-def assemble_load(space, prob):
-    """Load sub-vectors (F_F, F_E) for the source problem."""
-    if prob.source is None:
-        raise MissingSourceError("problem has no source term")
-    F = _load(space, prob)
-    return F[:space.n_fem], F[space.n_fem:]

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (DiscontinuousInputError, InvalidArgumentError,
-                         OutOfDomainError)
+from .exceptions import DiscontinuousInputError, InvalidArgumentError
 from .mesh import locate
 from .quadrature import composite_rule, panels
 
@@ -326,10 +325,8 @@ def eval_solution(space, dofs, x, deriv=0):
     first); at gamma the derivative is the right limit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     flat = x.ravel()[:, None]
-    if not np.all((flat >= 0.0) & (flat <= 1.0)):
-        raise OutOfDomainError("points must lie in [0, 1]")
     nodes = space.mesh.nodes
-    elements = np.maximum(np.searchsorted(nodes, flat[:, 0]), 1)
+    elements = locate(space.mesh, flat[:, 0])
     a, b = nodes[elements - 1, None], nodes[elements, None]
     t = (flat - a) / (b - a)
     q = PanelBasis(flat, None, *_basis_values(space, elements, t,

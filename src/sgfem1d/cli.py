@@ -17,11 +17,7 @@ from .densela import generalized_eigs
 from .errors import align_eigenfunction
 from .exceptions import InsufficientDataError, InvalidArgumentError, SgfemError
 from .mesh import build_uniform_mesh
-from .sweep import CASES, emit_report, load_config, run_cond_sweep
-
-
-def _int_list(s):
-    return tuple(int(x) for x in s.split(","))
+from .sweep import comma_list, emit_report, load_config, run_cond_sweep
 
 
 def build_parser():
@@ -64,19 +60,19 @@ def build_parser():
     return parser
 
 
-def _dump_matrices(cfg, directory, gamma, eta, source=None):
+def _dump_matrices(cfg, directory, gamma, eta):
     import scipy.io
     os.makedirs(directory, exist_ok=True)
-    prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta, source=source)
-    for p in cfg.degrees:
-        for N in cfg.Ns:
-            for method in cfg.methods:
-                mesh = build_uniform_mesh(N, gamma)
-                space = build_space(mesh, p, enrich=(method == "SGFEM"))
-                system = assemble(space, prob)
-                tag = f"{method.lower()}_p{p}_N{N}"
-                scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), system.K)
-                scipy.io.mmwrite(os.path.join(directory, f"M_{tag}.mtx"), system.M)
+    prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
+
+    def cell(space, method, warnings):
+        system = assemble(space, prob)
+        tag = f"{method.lower()}_p{space.p}_N{space.mesh.N}"
+        scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), system.K)
+        scipy.io.mmwrite(os.path.join(directory, f"M_{tag}.mtx"), system.M)
+        return []
+
+    sweep_mod._sweep(cfg, gamma, cell)
 
 
 def _dump_function(cfg, gamma, eta, idx, path):
@@ -92,10 +88,9 @@ def _dump_function(cfg, gamma, eta, idx, path):
     dofs = DofVector(vec[:space.n_fem], vec[space.n_fem:])
     dofs = align_eigenfunction(dofs, space, exact)
     xs = np.linspace(0.0, 1.0, 1000)
-    with open(path, "w") as fh:
-        fh.write("x,u_h,u\n")
-        for x, vh, v in zip(xs, eval_solution(space, dofs, xs), exact.value(xs)):
-            fh.write(f"{x:.17g},{vh:.17g},{v:.17g}\n")
+    np.savetxt(path, np.column_stack([xs, eval_solution(space, dofs, xs),
+                                      exact.value(xs)]),
+               fmt="%.17g", delimiter=",", header="x,u_h,u", comments="")
 
 
 def main(argv=None):
@@ -114,44 +109,33 @@ def main(argv=None):
             return 0
 
         if args.command == "cond":
-            Ns = _int_list(args.N_list)
-            table, slope = run_cond_sweep(args.p, Ns, args.gamma, args.eta,
-                                          args.method)
+            table, slope = run_cond_sweep(args.p, comma_list(args.N_list),
+                                          args.gamma, args.eta, args.method)
             print("N,scaled_cond")
             for N, c in table:
                 print(f"{N},{c:.17g}")
             print(f"# log-log slope vs 1/h: {slope:.3f}")
             return 0
 
-        overrides = {
-            "degrees": args.p,
-            "ns": args.N,
-            "methods": None if args.methods is None else args.methods.upper(),
-        }
+        overrides = {"problem": args.command, "degrees": args.p, "ns": args.N,
+                     "methods": args.methods}
         if args.command == "source":
-            overrides["problem"] = "source"
             cfg = load_config(args.config, overrides)
             report = sweep_mod.run_source_sweep(cfg)
             gamma, eta = 1.0 / 3.0, 4.0
         else:
-            overrides["problem"] = "eigen"
             if args.case is not None and (args.gamma, args.eta) != (None, None):
                 raise InvalidArgumentError("give either --case or --gamma/--eta")
+            overrides.update(eigs=args.eigs, gamma=args.gamma, eta=args.eta)
             if args.case is not None:
                 overrides["case"] = "case2" if args.case == "1" else "case3"
-            if args.eigs is not None:
-                overrides["eigs"] = args.eigs
-            if args.gamma is not None:
-                overrides["gamma"] = args.gamma
-                overrides["case"] = overrides.get("case", "custom")
-            if args.eta is not None:
-                overrides["eta"] = args.eta
+            if (args.gamma, args.eta) != (None, None):
+                overrides["case"] = "custom"
             if args.with_eigenfunctions:
                 overrides["outputs"] = "eigenfunctions"
             cfg = load_config(args.config, overrides)
             report = sweep_mod.run_eigen_sweep(cfg)
-            gamma = report.metadata["gamma"]
-            eta = report.metadata["eta"]
+            gamma, eta = report.metadata["gamma"], report.metadata["eta"]
             if args.dump_function is not None:
                 _dump_function(cfg, gamma, eta, args.dump_index,
                                args.dump_function)
@@ -161,12 +145,7 @@ def main(argv=None):
 
         for w in report.warnings:
             print(f"warning: {w}", file=sys.stderr)
-        if args.out is not None:
-            emit_report(report, args.format, args.out)
-        else:
-            text = (sweep_mod.report_csv(report) if args.format == "csv"
-                    else sweep_mod.report_markdown(report))
-            print(text, end="")
+        emit_report(report, args.format, args.out)
         return 0
     except (InvalidArgumentError, InsufficientDataError, OSError) as exc:
         print(f"config error: {_message(exc)}", file=sys.stderr)

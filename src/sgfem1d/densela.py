@@ -53,8 +53,7 @@ def _square(A):
 def cholesky(A):
     """Lower-triangular L with L L^T = A; raises if A is not SPD."""
     A = _square(A)
-    if not np.allclose(A, A.T, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise InvalidArgumentError("matrix must be symmetric")
+    _pattern(A, len(A))  # raises unless A is symmetric
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
@@ -63,8 +62,8 @@ def cholesky(A):
 
 def _pattern(A, n):
     """Rows, columns and values of the nonzeros of the symmetric n x n
-    matrix A; symmetry is checked on those entries, to the tolerance of
-    cholesky."""
+    matrix A; symmetry is checked on those entries, to 1e-12 relative to
+    each entry plus 1e-12 of the largest (at least 1e-12)."""
     A = _square(A)
     if A.shape[0] != n:
         raise InvalidArgumentError(f"matrix must be {n}x{n}, got {A.shape}")

@@ -21,10 +21,6 @@ class CoefficientNotPositiveError(SgfemError, ValueError):
     pass
 
 
-class MissingSourceError(SgfemError, ValueError):
-    pass
-
-
 class NotPositiveDefiniteError(SgfemError, ArithmeticError):
     pass
 

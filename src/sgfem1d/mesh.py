@@ -51,9 +51,7 @@ def build_uniform_mesh(N, gamma):
     if not 0.0 < gamma < 1.0:
         raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
 
-    nodes = np.linspace(0.0, 1.0, N + 1)
-    nodes[0] = 0.0
-    nodes[-1] = 1.0
+    nodes = np.linspace(0.0, 1.0, N + 1)  # exact 0 and 1 at the ends
     nodes.setflags(write=False)
     h = 1.0 / N
 
@@ -62,20 +60,20 @@ def build_uniform_mesh(N, gamma):
     if fitting:
         # element to the left of the coinciding node
         r = max(j_near, 1)
-        r = min(r, N)
     else:
         r = int(np.searchsorted(nodes, gamma))
     return Mesh1D(N=N, nodes=nodes, h=h, gamma=float(gamma), r=r, fitting=fitting)
 
 
 def locate(mesh, x):
-    """1-based index of the element containing x.
+    """1-based index of the element containing x (elementwise for arrays).
 
     Shared nodes belong to the left element, except x = 0 which maps to
     element 1.
     """
-    if x < 0.0 or x > 1.0:
-        raise OutOfDomainError(f"x={x} outside [0, 1]")
-    if x == 0.0:
-        return 1
-    return int(np.searchsorted(mesh.nodes, x, side="left"))
+    x = np.asarray(x, dtype=float)
+    outside = ~((x >= 0.0) & (x <= 1.0))
+    if np.any(outside):
+        raise OutOfDomainError(f"x={x[outside][0]} outside [0, 1]")
+    k = np.maximum(np.searchsorted(mesh.nodes, x, side="left"), 1)
+    return int(k) if k.ndim == 0 else k

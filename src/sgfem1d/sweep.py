@@ -1,7 +1,7 @@
 """Refinement-ladder experiment driver and report serialization."""
 
 import configparser
-import io
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -47,6 +47,8 @@ class SweepConfig:
             raise InvalidArgumentError("degrees must lie in 1..6")
         if any(i < 1 for i in self.eigen_indices):
             raise InvalidArgumentError("eigen indices are 1-based")
+        if self.case not in (*CASES, "custom", "manufactured"):
+            raise InvalidArgumentError(f"unknown case {self.case!r}")
         for m in self.methods:
             if m not in ("FEM", "SGFEM"):
                 raise InvalidArgumentError(f"unknown method {m!r}")
@@ -142,10 +144,8 @@ def run_eigen_sweep(cfg):
     cfg.validate()
     if cfg.problem != "eigen":
         raise InvalidArgumentError("config is not an eigen sweep")
-    if cfg.case in CASES:
-        gamma, eta = CASES[cfg.case]["gamma"], CASES[cfg.case]["eta"]
-    else:
-        gamma, eta = cfg.gamma, cfg.eta
+    case = CASES.get(cfg.case, {"gamma": cfg.gamma, "eta": cfg.eta})
+    gamma, eta = case["gamma"], case["eta"]
     kmax = max(cfg.eigen_indices)
     pairs = solve_matching_system(gamma, eta, kmax + 1)
     _check_gaps(pairs, cfg.eigen_indices)
@@ -184,15 +184,15 @@ def run_cond_sweep(p, Ns, gamma=1.0 / 3.0, eta=4.0, method="SGFEM"):
     ladder, with the fitted log-log slope versus 1/h (which needs >= 3
     distinct N, as fit_rate does)."""
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
-    records = []
-    for N in Ns:
-        mesh = build_uniform_mesh(N, gamma)
-        space = build_space(mesh, p, enrich=(method == "SGFEM"))
-        system = assemble(space, prob)
-        records.append(ErrorRecord(N, p, method, "scaled_cond",
-                                   scaled_condition_number(system.K)))
+
+    def cell(space, method, warnings):
+        return [ErrorRecord(space.mesh.N, p, method, "scaled_cond",
+                            scaled_condition_number(assemble(space, prob).K))]
+
+    cfg = SweepConfig(degrees=(p,), Ns=tuple(Ns), methods=(method,))
+    rows = _sweep(cfg, gamma, cell).rows
     # fit_rate's slope is against log(1/N)
-    return [(r.N, r.value) for r in records], -fit_rate(records)
+    return [(r.N, r.value) for r in rows], -fit_rate(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +206,15 @@ def _sci(v):
 
 
 def report_csv(report):
-    buf = io.StringIO()
     problem = report.metadata["config"].problem
-    buf.write("problem,method,p,N,quantity,value\n")
-    for r in report.rows:
-        buf.write(f"{problem},{r.method},{r.p},{r.N},{r.quantity},{r.value:.17g}\n")
-    return buf.getvalue()
+    return "problem,method,p,N,quantity,value\n" + "".join(
+        f"{problem},{r.method},{r.p},{r.N},{r.quantity},{r.value:.17g}\n"
+        for r in report.rows)
 
 
 def report_markdown(report):
     cfg = report.metadata["config"]
-    quantities = []
-    for r in report.rows:
-        if r.quantity not in quantities:
-            quantities.append(r.quantity)
+    quantities = list(dict.fromkeys(r.quantity for r in report.rows))
     Ns = sorted({r.N for r in report.rows})
     lookup = {(r.quantity, r.method, r.p, r.N): r.value for r in report.rows}
     lines = []
@@ -246,16 +241,19 @@ def report_markdown(report):
 
 
 def emit_report(report, fmt, path):
-    """Write a report as CSV or markdown."""
+    """Write a report as CSV or markdown to the file path, or to stdout
+    when path is None."""
     if fmt == "csv":
         text = report_csv(report)
     elif fmt == "markdown":
         text = report_markdown(report)
     else:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def parse_csv(text):
@@ -268,8 +266,32 @@ def parse_csv(text):
     return rows
 
 
+def comma_list(text, item=int):
+    """The comma-separated items of text, each stripped and parsed by item."""
+    try:
+        return tuple(item(part.strip()) for part in str(text).split(","))
+    except ValueError:
+        raise InvalidArgumentError(f"malformed list {text!r}") from None
+
+
+# config key -> (SweepConfig field, parser of the key's text)
+CONFIG_KEYS = {
+    "problem": ("problem", str),
+    "case": ("case", str),
+    "gamma": ("gamma", float),
+    "eta": ("eta", float),
+    "degrees": ("degrees", comma_list),
+    "ns": ("Ns", comma_list),
+    "methods": ("methods", partial(comma_list, item=str.upper)),
+    "eigs": ("eigen_indices", comma_list),
+    "outputs": ("outputs", partial(comma_list, item=str)),
+}
+
+
 def load_config(path=None, overrides=None):
-    """Build a SweepConfig from an INI-style file plus CLI overrides."""
+    """Build a SweepConfig from an INI-style file plus CLI overrides (None
+    values ignored), both keyed as CONFIG_KEYS.  An unknown key or a value
+    that does not parse raises InvalidArgumentError."""
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -277,30 +299,22 @@ def load_config(path=None, overrides=None):
             content = fh.read()
         if not content.lstrip().startswith("["):
             content = "[sweep]\n" + content
-        parser.read_string(content)
-        section = parser.sections()[0]
-        values.update(dict(parser[section]))
+        try:
+            parser.read_string(content)
+            values.update(parser[parser.sections()[0]])
+        except configparser.Error as exc:
+            raise InvalidArgumentError(f"unreadable config {path}: {exc}") from None
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
     cfg = SweepConfig()
-    if "problem" in values:
-        cfg.problem = values["problem"]
-    if "case" in values:
-        cfg.case = values["case"]
-    if "gamma" in values:
-        cfg.gamma = float(values["gamma"])
-    if "eta" in values:
-        cfg.eta = float(values["eta"])
-    if "degrees" in values:
-        cfg.degrees = tuple(int(x) for x in str(values["degrees"]).split(","))
-    if "ns" in values:
-        cfg.Ns = tuple(int(x) for x in str(values["ns"]).split(","))
-    if "methods" in values:
-        cfg.methods = tuple(m.strip().upper() for m in str(values["methods"]).split(","))
-    if "eigs" in values:
-        cfg.eigen_indices = tuple(int(x) for x in str(values["eigs"]).split(","))
-    if "outputs" in values:
-        cfg.outputs = tuple(s.strip() for s in str(values["outputs"]).split(","))
+    for key, text in values.items():
+        if key not in CONFIG_KEYS:
+            raise InvalidArgumentError(f"unknown config key {key!r}")
+        name, parse = CONFIG_KEYS[key]
+        try:
+            setattr(cfg, name, parse(text))
+        except ValueError:
+            raise InvalidArgumentError(f"{key} = {text!r} does not parse") from None
     cfg.validate()
     return cfg

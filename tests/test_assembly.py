@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, solve_spd)
-from sgfem1d.assembly import assemble_load
-from sgfem1d.exceptions import (CoefficientNotPositiveError,
-                                InvalidArgumentError, MissingSourceError)
+from sgfem1d.exceptions import CoefficientNotPositiveError, InvalidArgumentError
 
 
 def test_linear_fem_tridiagonal_by_hand():
@@ -120,21 +118,21 @@ def test_nonpositive_coefficient_rejected():
 
 
 def test_load_vector_matches_block_system(benchmark_problem):
+    # F is the FEM load F_F followed by the enrichment load F_E
     _, _, prob = benchmark_problem
     mesh = build_uniform_mesh(10, prob.gamma)
     space = build_space(mesh, 2)
     sys_ = assemble(space, prob)
-    F_F, F_E = assemble_load(space, prob)
-    np.testing.assert_allclose(F_F, sys_.F_F, rtol=1e-14)
-    np.testing.assert_allclose(F_E, sys_.F_E, rtol=1e-14)
+    F_F, F_E = sys_.F_F, sys_.F_E
+    assert F_F.shape == (space.n_fem,) and F_E.shape == (space.n_enr,)
     np.testing.assert_allclose(sys_.F, np.concatenate([F_F, F_E]))
 
 
 def test_load_requires_source():
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
     space = build_space(mesh, 1)
-    with pytest.raises(MissingSourceError):
-        assemble_load(space, InterfaceProblem(gamma=mesh.gamma))
+    sys_ = assemble(space, InterfaceProblem(gamma=mesh.gamma))
+    assert sys_.F is None and sys_.F_F is None and sys_.F_E is None
 
 
 def test_quadratic_solve_is_exact_for_parabola():

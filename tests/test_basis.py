@@ -9,7 +9,8 @@ from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
 from sgfem1d.basis import lagrange_all, reference_enrichment
-from sgfem1d.exceptions import DiscontinuousInputError, InvalidArgumentError
+from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
+                                OutOfDomainError)
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -317,3 +318,11 @@ def test_eval_solution_derivative_vs_finite_difference():
               - eval_solution(space, dofs, np.array([x - eps]))[0]) / (2 * eps)
         got = eval_solution(space, dofs, np.array([x]), deriv=1)[0]
         assert got == pytest.approx(fd, abs=1e-5 * max(1.0, abs(fd)))
+
+
+def test_eval_solution_outside_domain_raises():
+    space = build_space(build_uniform_mesh(10, 1.0 / 3.0), 2)
+    dofs = DofVector(np.ones(space.n_fem), np.ones(space.n_enr))
+    for x in (-1e-3, 1.0 + 1e-3):
+        with pytest.raises(OutOfDomainError):
+            eval_solution(space, dofs, np.array([0.5, x]))

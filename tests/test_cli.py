@@ -152,3 +152,49 @@ def test_numerical_failure_names_the_cell(monkeypatch, capsys):
     assert main(["source", "--p", "2", "--N", "10,20", "--methods", "fem"]) == 3
     err = capsys.readouterr().err
     assert "not SPD" in err and "(p=2, N=10, FEM)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["source", "--p", "1,x"],
+    ["source", "--N", "10,y"],
+    ["eigen", "--eigs", "1,a"],
+    ["cond", "--N-list", "20,x"],
+])
+def test_malformed_numbers_are_config_errors(argv, capsys):
+    # each of these used to escape as a ValueError traceback, exit 1
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and argv[-1] in err
+
+
+def test_malformed_config_value_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("gamma = abc\n")
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "gamma" in err and "abc" in err
+
+
+def test_unknown_config_key_is_config_error(tmp_path, capsys):
+    # a misspelt key used to be ignored and the default ladder run
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("nss = 10,20\n")
+    assert main(["source", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "nss" in err
+
+
+def test_cond_failure_names_the_cell(capsys):
+    assert main(["cond", "--eta", "-1"]) == 3
+    assert "(p=1, N=20, SGFEM)" in capsys.readouterr().err
+
+
+def test_eta_flag_overrides_a_config_case(tmp_path, capsys):
+    # --eta alone used to be ignored when the config file named a case
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ncase = case2\n")
+    ladder = ["--p", "1", "--N", "10,20", "--methods", "sgfem", "--eigs", "1"]
+    assert main(["eigen", "--config", str(cfg), "--eta", "2.5", *ladder]) == 0
+    with_case = capsys.readouterr().out
+    assert main(["eigen", "--gamma", str(1.0 / 3.0), "--eta", "2.5", *ladder]) == 0
+    assert with_case == capsys.readouterr().out

@@ -68,6 +68,15 @@ def test_locate_conventions():
         locate(m, 1.01)
 
 
+def test_locate_array_matches_scalar_calls():
+    m = build_uniform_mesh(10, 1.0 / 3.0)
+    xs = np.concatenate([m.nodes, [0.05, 0.35, 0.95]])  # 0, interior nodes, 1
+    np.testing.assert_array_equal(locate(m, xs), [locate(m, x) for x in xs])
+    assert locate(m, xs.reshape(2, 7)).shape == (2, 7)
+    with pytest.raises(OutOfDomainError):
+        locate(m, np.array([0.5, 1.01]))
+
+
 @settings(max_examples=60)
 @given(N=st.integers(2, 400), x=st.floats(0.0, 1.0))
 def test_locate_brackets_point(N, x):

@@ -144,6 +144,14 @@ def test_load_config_rejects_invalid(tmp_path):
         load_config(str(path))
 
 
+def test_load_config_rejects_unknown_case(tmp_path):
+    # "cse3" used to run gamma=1/3, eta=4 as if no case were named
+    path = tmp_path / "eigen.cfg"
+    path.write_text("problem = eigen\ncase = cse3\n")
+    with pytest.raises(InvalidArgumentError, match="cse3"):
+        load_config(str(path))
+
+
 def test_fitting_mesh_cells_recorded():
     # N divisible by 3 with gamma = 1/3 silently falls back to plain FEM
     cfg = SweepConfig(problem="source", degrees=(1,), Ns=(9, 12, 15),
