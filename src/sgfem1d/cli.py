@@ -65,7 +65,7 @@ def _dump_matrices(cfg, directory, gamma, eta):
     os.makedirs(directory, exist_ok=True)
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
 
-    def cell(space, method, warnings):
+    def cell(space, method, warn):
         system = assemble(space, prob)
         tag = f"{method.lower()}_p{space.p}_N{space.mesh.N}"
         scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), system.K)

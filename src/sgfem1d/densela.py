@@ -8,31 +8,22 @@ checks symmetry on it, and orders the rows by their first nonzero column
 the half-bandwidth becomes at most 2p+1 for SGFEM and stays p for FEM.  K
 is factored in lower band storage by LAPACK's banded Cholesky (dpbtrf).
 
-The k smallest eigenpairs of K v = lambda M v come from subspace iteration
-on the solution operator K^{-1} M with a Rayleigh-Ritz step (Bathe's form):
-the Ritz values are upper bounds of the discrete eigenvalues and the Ritz
-vectors are M-orthonormal.
+Every eigenvalue comes from ARPACK's implicitly restarted Lanczos method
+(scipy's eigsh) on band operators: products by dsbmv, and inverses, for the
+smallest eigenvalues, by dpbtrs on the band Cholesky factor.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.linalg.blas import dsbmv
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .exceptions import (ConvergenceFailureError, InvalidArgumentError,
                          NotPositiveDefiniteError)
-
-# Subspace iteration stops when max_j ||lambda_j K^{-1} M x_j - x_j||_M is
-# below this.  The inverse residual needs no product with K, so it does not
-# lose the smooth modes to cancellation; its rounding floor is 2e-14 to
-# 3e-14 at p=3, ndof 1923 and 3003.
-EIG_TOL = 1e-12
-EIG_MAX_STEPS = 300
-# Where rounding keeps the inverse residual above EIG_TOL (ill-conditioned
-# K, or the highest modes of a small system), the iteration stops once the
-# residual has not reached a new minimum for this many steps.
-EIG_STALL = 10
 
 
 @dataclass
@@ -115,14 +106,26 @@ def _factor(ab):
     return c
 
 
-def _band_matmul(ab, X):
-    """A X for the symmetric matrix A held by its lower band ab."""
-    Y = ab[0][:, None] * X
-    for d in range(1, ab.shape[0]):
-        off = ab[d, :-d, None]
-        Y[d:] += off * X[:-d]
-        Y[:-d] += off * X[d:]
-    return Y
+def _lanczos(ab, k=1, c=None, mb=None):
+    """k eigenpairs (ascending) of the band ab, or of the pencil (ab, mb), by
+    ARPACK's Lanczos method from a fixed start vector: the largest or, given
+    the band Cholesky factor c of ab, the smallest by shift-invert about 0."""
+    n = ab.shape[1]
+    op = partial(LinearOperator, (n, n), dtype=float)
+
+    def band(b):
+        return op(lambda x: dsbmv(len(b) - 1, 1.0, b, x, lower=1))
+
+    mode = {"which": "LA"} if c is None else {
+        "sigma": 0.0, "OPinv": op(lambda x: lapack.dpbtrs(c, x, lower=1)[0]),
+        "M": None if mb is None else band(mb)}
+    try:
+        vals, vecs = eigsh(band(ab), k, tol=0, v0=np.random.default_rng(0)
+                           .standard_normal(n), **mode)
+    except ArpackError as exc:  # ArpackNoConvergence included
+        raise ConvergenceFailureError(str(exc)) from exc
+    i = np.argsort(vals)
+    return vals[i], vecs[:, i]
 
 
 def solve_spd(K, F):
@@ -138,20 +141,10 @@ def solve_spd(K, F):
 
 
 def generalized_eigs(K, M, k):
-    """k smallest eigenpairs of K v = lambda M v for SPD K, M.
-
-    Subspace iteration on K^{-1} M (Bathe's form): each step maps a block
-    of m = min(n, 2k+8) vectors X to Xbar = K^{-1} M X and takes the Ritz
-    pairs of the pencil (Xbar^T M X, Xbar^T M Xbar), a small dense problem.
-    The start block comes from a fixed seed, so results are reproducible.
-    The iteration stops when the inverse residual of every wanted pair,
-    ||lambda K^{-1} M x - x||_M, is at most EIG_TOL, or when it has sat at
-    its rounding floor for EIG_STALL steps; it raises
-    ConvergenceFailureError after EIG_MAX_STEPS steps.  The Ritz values
-    are upper bounds of the discrete eigenvalues, k = n included.
-    Eigenvectors are M-orthonormal and the entry of largest magnitude of
-    each is positive.
-    """
+    """k smallest eigenpairs of K v = lambda M v for SPD K, M: by ARPACK in
+    shift-invert mode about 0 on the band factor of K or, for k = n, which
+    ARPACK does not take, from the dense pencil (M, K).  Eigenvectors are
+    M-orthonormal, and the entry of largest magnitude of each is positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -161,37 +154,15 @@ def generalized_eigs(K, M, k):
         _factor(mb)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
-    m = min(n, 2 * k + 8)
-    # The start block is random in the coordinates scaled by diag(K)^(1/2),
-    # where enrichment and FEM columns weigh alike.  Its own Rayleigh-Ritz
-    # step (the only product with K) makes the first block M-orthonormal;
-    # K^{-1} M of a raw random block can have numerically dependent columns.
-    Y = np.random.default_rng(0).standard_normal((n, m)) / np.sqrt(kb[0])[:, None]
-    Kr, MY = Y.T @ _band_matmul(kb, Y), _band_matmul(mb, Y)
-    best, stalled = np.inf, 0
-    for _ in range(EIG_MAX_STEPS):
-        Mr = Y.T @ MY
-        try:
-            vals, Q = scipy.linalg.eigh(0.5 * (Kr + Kr.T), 0.5 * (Mr + Mr.T))
-        except scipy.linalg.LinAlgError as exc:
-            raise ConvergenceFailureError(str(exc)) from exc
-        X, MX = Y @ Q, MY @ Q
-        Y = lapack.dpbtrs(c, MX, lower=1)[0]
-        R = vals[:k] * Y[:, :k] - X[:, :k]
-        resid = np.sqrt(np.max(np.einsum("ij,ij->j", R, _band_matmul(mb, R)),
-                               initial=0.0))
-        best, stalled = (resid, 0) if resid < best else (best, stalled + 1)
-        if resid <= EIG_TOL or stalled == EIG_STALL:
-            break
-        Kr, MY = Y.T @ MX, _band_matmul(mb, Y)
+    if k == n:
+        # reduced through K, so the smallest lambda = 1/mu stay accurate
+        mu, W = scipy.linalg.eigh(M, K)
+        vals, V = 1.0 / mu[::-1], W[:, ::-1] / np.sqrt(mu[::-1])
     else:
-        raise ConvergenceFailureError(
-            f"subspace iteration: inverse residual {resid:.2e} after "
-            f"{EIG_MAX_STEPS} steps")
-    V = np.empty((n, k))
-    V[order] = X[:, :k]
+        vals, X = _lanczos(kb, k, c, mb) if k else (np.empty(0), np.empty((n, 0)))
+        V = X[np.argsort(order)]
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
-    return EigenSolution(values=vals[:k], vectors=V)
+    return EigenSolution(values=vals, vectors=V)
 
 
 def scaled_condition_number(A):
@@ -201,7 +172,7 @@ def scaled_condition_number(A):
     if np.any(d <= 0.0):
         raise NotPositiveDefiniteError("diagonal has nonpositive entries")
     _, (ab,) = _banded(A, scale=1.0 / np.sqrt(d))
-    vals = scipy.linalg.eig_banded(ab, lower=True, eigvals_only=True)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefiniteError("scaled matrix not positive definite")
-    return vals[-1] / vals[0]
+    c = _factor(ab)
+    if len(d) == 1:  # ARPACK needs n >= 2
+        return 1.0
+    return _lanczos(ab)[0][0] / _lanczos(ab, c=c)[0][0]

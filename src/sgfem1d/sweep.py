@@ -1,6 +1,7 @@
 """Refinement-ladder experiment driver and report serialization."""
 
 import configparser
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -76,25 +77,27 @@ def _fit_rates(rows):
 
 
 def _sweep(cfg, gamma, cell, meta=None):
-    """Run cell(space, method, warnings) -> [ErrorRecord] at every
-    (p, N, method) of the grid and fit the rates; meta is added to the
-    report's metadata.  An exception from a cell is re-raised as it is,
-    with the cell attached as a note."""
+    """Run cell(space, method, warn) -> [ErrorRecord] at every (p, N, method)
+    of the grid and fit the rates; warn(text) adds a warning naming the cell,
+    and meta is added to the report's metadata.  An exception from a cell is
+    re-raised as it is, with the cell attached as a note."""
     rows, warnings, fitting_cells = [], [], []
     t0 = time.time()
     for p in cfg.degrees:
         for N in cfg.Ns:
             mesh = build_uniform_mesh(N, gamma)
             for method in cfg.methods:
+                label = f"(p={p}, N={N}, {method})"
                 try:
                     space = build_space(mesh, p, enrich=(method == "SGFEM"))
                     if method == "SGFEM" and mesh.fitting:
                         fitting_cells.append((p, N))
-                    rows.extend(cell(space, method, warnings))
+                    rows.extend(cell(
+                        space, method,
+                        lambda text: warnings.append(f"{label} {text}")))
                 except Exception as exc:
                     # what add_note does, also on Python 3.10
-                    exc.__notes__ = [*getattr(exc, "__notes__", ()),
-                                     f"(p={p}, N={N}, {method})"]
+                    exc.__notes__ = [*getattr(exc, "__notes__", ()), label]
                     raise
     rates = _fit_rates(rows)
     if not rates:
@@ -113,7 +116,7 @@ def run_source_sweep(cfg):
     u, f = manufactured_source()
     prob = InterfaceProblem(gamma=1.0 / 3.0, kappa0=1.0, kappa1=4.0, source=f)
 
-    def cell(space, method, warnings):
+    def cell(space, method, warn):
         system = assemble(space, prob)
         U = solve_spd(system.K, system.F)
         dofs = DofVector(U[:space.n_fem], U[space.n_fem:])
@@ -154,7 +157,7 @@ def run_eigen_sweep(cfg):
         if want_fns else {}
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
 
-    def cell(space, method, warnings):
+    def cell(space, method, warn):
         system = assemble(space, prob)
         sol = generalized_eigs(system.K, system.M, kmax)
         rec = partial(ErrorRecord, space.mesh.N, space.p, method)
@@ -169,8 +172,7 @@ def run_eigen_sweep(cfg):
                 dofs = align_eigenfunction(
                     DofVector(v[:space.n_fem], v[space.n_fem:]), space, exact)
             except DegenerateAlignmentError as exc:
-                warnings.append(f"(p={space.p}, N={space.mesh.N}, {method}) "
-                                f"eigenfunction {idx} unresolved: {exc}")
+                warn(f"eigenfunction {idx} unresolved: {exc}")
                 continue
             rows += [rec(f"h1_u{idx}", h1_semi_error(dofs, space, exact)),
                      rec(f"l2_u{idx}", l2_error(dofs, space, exact))]
@@ -185,14 +187,16 @@ def run_cond_sweep(p, Ns, gamma=1.0 / 3.0, eta=4.0, method="SGFEM"):
     distinct N, as fit_rate does)."""
     prob = InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta)
 
-    def cell(space, method, warnings):
+    def cell(space, method, warn):
         return [ErrorRecord(space.mesh.N, p, method, "scaled_cond",
                             scaled_condition_number(assemble(space, prob).K))]
 
     cfg = SweepConfig(degrees=(p,), Ns=tuple(Ns), methods=(method,))
-    rows = _sweep(cfg, gamma, cell).rows
-    # fit_rate's slope is against log(1/N)
-    return [(r.N, r.value) for r in rows], -fit_rate(rows)
+    report = _sweep(cfg, gamma, cell)
+    if not report.rates:
+        raise InsufficientDataError("need >= 3 distinct refinement levels")
+    (slope,) = report.rates.values()  # fit_rate's slope is against log(1/N)
+    return [(r.N, r.value) for r in report.rows], -slope
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +301,15 @@ def load_config(path=None, overrides=None):
         parser = configparser.ConfigParser()
         with open(path) as fh:
             content = fh.read()
-        if not content.lstrip().startswith("["):
-            content = "[sweep]\n" + content
+        added = not content.lstrip().startswith("[")
         try:
-            parser.read_string(content)
+            parser.read_string("[sweep]\n" * added + content)
             values.update(parser[parser.sections()[0]])
         except configparser.Error as exc:
-            raise InvalidArgumentError(f"unreadable config {path}: {exc}") from None
+            # line numbers as in the file, without the added header line
+            msg = re.sub(r"\[line +(\d+)\]",
+                         lambda m: f"[line {int(m[1]) - added:2d}]", str(exc))
+            raise InvalidArgumentError(f"unreadable config {path}: {msg}") from None
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 

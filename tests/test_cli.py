@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from sgfem1d import sweep
+from sgfem1d import densela, sweep
 from sgfem1d.cli import main
 from sgfem1d.exceptions import NotPositiveDefiniteError
 
@@ -198,3 +199,14 @@ def test_eta_flag_overrides_a_config_case(tmp_path, capsys):
     with_case = capsys.readouterr().out
     assert main(["eigen", "--gamma", str(1.0 / 3.0), "--eta", "2.5", *ladder]) == 0
     assert with_case == capsys.readouterr().out
+
+
+def test_eigensolver_failure_exits_3_and_names_the_cell(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(densela, "eigsh", fail)
+    assert main(["eigen", "--p", "1", "--N", "10,20,40"]) == 3
+    err = capsys.readouterr().err
+    assert "No convergence" in err and "(p=1, N=10, FEM)" in err

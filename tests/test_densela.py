@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from sgfem1d import (InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, cholesky, generalized_eigs,
                      scaled_condition_number, solve_spd)
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from sgfem1d import densela
 from sgfem1d.densela import _banded
-from sgfem1d.exceptions import (InvalidArgumentError,
+from sgfem1d.exceptions import (ConvergenceFailureError, InvalidArgumentError,
                                 NotPositiveDefiniteError)
 
 
@@ -262,3 +265,39 @@ def test_results_are_reproducible(small_sgfem_system):
     assert np.array_equal(a.vectors, b.vectors)
     assert np.array_equal(solve_spd(K, F), solve_spd(K, F))
     assert scaled_condition_number(K) == scaled_condition_number(K)
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3)
+                                  for k in sorted({0, 1, n - 1, n})])
+def test_generalized_eigs_tiny_systems(n, k):
+    # the sizes at ARPACK's limits: it needs 0 < k < n
+    K, M = _random_spd(n, 40 + n), _random_spd(n, 50 + n, shift=2.0)
+    sol = generalized_eigs(K, M, k)
+    want = np.sort(1.0 / scipy.linalg.eigh(M, K, eigvals_only=True))[:k]
+    assert sol.values.shape == (k,) and sol.vectors.shape == (n, k)
+    np.testing.assert_allclose(sol.values, want, rtol=1e-10)
+    assert np.all(np.diff(sol.values) >= 0.0)
+    V = sol.vectors
+    np.testing.assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-12)
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_scaled_condition_number_tiny_systems(n):
+    A = _random_spd(n, 60 + n)
+    s = 1.0 / np.sqrt(np.diag(A))
+    ev = scipy.linalg.eigvalsh(A * np.outer(s, s))
+    assert scaled_condition_number(A) == pytest.approx(ev[-1] / ev[0], rel=1e-12)
+
+
+def test_arpack_failure_is_a_convergence_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(densela, "eigsh", fail)
+    K, M = _random_spd(6, 70), _random_spd(6, 71, shift=2.0)
+    with pytest.raises(ConvergenceFailureError, match="No convergence"):
+        generalized_eigs(K, M, 2)
+    with pytest.raises(ConvergenceFailureError, match="No convergence"):
+        scaled_condition_number(K)

@@ -6,6 +6,7 @@ import pytest
 from sgfem1d import (Report, SweepConfig, emit_report, run_cond_sweep,
                      run_eigen_sweep, run_source_sweep)
 from sgfem1d import sweep
+from sgfem1d.errors import fit_rate
 from sgfem1d.exceptions import InvalidArgumentError
 from sgfem1d.sweep import load_config, parse_csv, report_csv, report_markdown
 
@@ -135,6 +136,29 @@ def test_load_config_with_section_header(tmp_path):
     path.write_text("[experiment]\nproblem = source\ndegrees = 2\n")
     cfg = load_config(str(path))
     assert cfg.degrees == (2,)
+
+
+def test_load_config_reports_file_line_numbers(tmp_path):
+    # the header added to a file without one used to shift them by one
+    path = tmp_path / "bad.cfg"
+    path.write_text("degrees 1\n")
+    with pytest.raises(InvalidArgumentError, match=r"\[line  1\]: 'degrees 1"):
+        load_config(str(path))
+    path.write_text("[sweep]\nns = 10\nmethods\n")
+    with pytest.raises(InvalidArgumentError, match=r"\[line  3\]: 'methods"):
+        load_config(str(path))
+
+
+def test_cond_sweep_fits_the_slope_once(monkeypatch):
+    calls = []
+
+    def counting_fit_rate(records):
+        calls.append(len(records))
+        return fit_rate(records)
+
+    monkeypatch.setattr(sweep, "fit_rate", counting_fit_rate)
+    run_cond_sweep(1, (10, 20, 40))
+    assert calls == [3]
 
 
 def test_load_config_rejects_invalid(tmp_path):
