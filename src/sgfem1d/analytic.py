@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import InvalidArgumentError
-from .quadrature import composite_rule
+from .exceptions import ConvergenceFailureError, InvalidArgumentError
 
 
 @dataclass(frozen=True)
@@ -51,89 +50,74 @@ class ExactFunction:
         return np.where(x <= self.gamma, self.df0(x), self.df1(x))
 
 
+def _piecewise_sine(gamma, a0, w0, a1, w1):
+    """a0 sin(w0 x) on [0, gamma] and a1 sin(w1 (x - 1)) on [gamma, 1]."""
+    return ExactFunction(
+        gamma=gamma,
+        f0=lambda x: a0 * np.sin(w0 * np.asarray(x)),
+        f1=lambda x: a1 * np.sin(w1 * (np.asarray(x) - 1.0)),
+        df0=lambda x: a0 * w0 * np.cos(w0 * np.asarray(x)),
+        df1=lambda x: a1 * w1 * np.cos(w1 * (np.asarray(x) - 1.0)))
+
+
 def _matching_F(w, gamma, rho):
     # eliminating d from the matching system
-    return (rho * np.sin(rho * w * gamma) * np.cos(w * (gamma - 1.0))
-            - np.cos(rho * w * gamma) * np.sin(w * (gamma - 1.0)))
-
-
-def _recover_d(w, gamma, rho):
-    s = np.sin(w * (gamma - 1.0))
-    c = rho * np.cos(w * (gamma - 1.0))
-    if abs(s) >= abs(c):
-        return np.sin(rho * w * gamma) / s
-    return np.cos(rho * w * gamma) / c
+    t0, t1 = rho * w * gamma, w * (gamma - 1.0)
+    return rho * np.sin(t0) * np.cos(t1) - np.cos(t0) * np.sin(t1)
 
 
 def solve_matching_system(gamma, eta, count):
     """The `count` smallest eigenpairs for the interface data (gamma, eta).
 
-    Sign changes of the matching function are located on a scan grid and
-    refined by bisection; the amplitude d follows from the matching relation
-    with the better-conditioned denominator.
+    By domain monotonicity (sines supported on one side only),
+    omega1_n <= n pi min(1/(1 - gamma), 1/(rho gamma)), so the matching
+    function is sampled once up to that bound; its sign changes are refined
+    by bisection and the amplitude d follows from the matching relation with
+    the better-conditioned denominator.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
-    if eta <= 0.0:
-        raise InvalidArgumentError(f"eta must be positive, got {eta}")
+    if not 0.0 < eta < np.inf:
+        raise InvalidArgumentError(f"eta must be positive and finite, got {eta}")
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     rho = np.sqrt(eta)
     step = min(np.pi / (rho * 8.0), np.pi / 8.0) / max(gamma, 1.0 - gamma)
+    bound = count * np.pi * min(1.0 / (1.0 - gamma), 1.0 / (rho * gamma))
+    # step, 2 step, ... summed in order: the grid of a step-by-step scan
+    w = np.cumsum(np.full(int(bound / step) + 1, step))
+    neg = np.signbit(_matching_F(w, gamma, rho))
+    lo = np.flatnonzero(neg[1:] != neg[:-1])[:count]
+    if lo.size < count:
+        raise ConvergenceFailureError(
+            f"found {lo.size} of {count} matching roots below omega1 = {bound:.6g}"
+            f" (gamma={gamma}, eta={eta})")
+    a, b, neg_a = w[lo], w[lo + 1], neg[lo]
+    while (wide := b - a > 1e-14 * a).any():
+        m = 0.5 * (a + b)
+        left = np.signbit(_matching_F(m, gamma, rho)) == neg_a
+        a, b = np.where(wide & left, m, a), np.where(wide & ~left, m, b)
+    roots = 0.5 * (a + b)
 
-    pairs = []
-    w_lo = step
-    f_lo = _matching_F(w_lo, gamma, rho)
-    w = w_lo
-    while len(pairs) < count:
-        w_hi = w + step
-        f_hi = _matching_F(w_hi, gamma, rho)
-        if f_lo == 0.0:
-            root = w
-        elif f_lo * f_hi < 0.0:
-            a, b, fa = w, w_hi, f_lo
-            while b - a > 1e-14 * a:
-                m = 0.5 * (a + b)
-                fm = _matching_F(m, gamma, rho)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            root = 0.5 * (a + b)
-        else:
-            root = None
-        if root is not None:
-            d = _recover_d(root, gamma, rho)
-            pairs.append(ExactEigenpair(
-                omega1=float(root), d=float(d), lam=float(eta * root * root),
-                index=len(pairs) + 1, gamma=gamma, eta=eta))
-        w, f_lo = w_hi, f_hi
-    return pairs
+    t0, t1 = rho * roots * gamma, roots * (gamma - 1.0)
+    big = np.abs(np.sin(t1)) >= np.abs(rho * np.cos(t1))
+    d = np.where(big, np.sin(t0) / np.sin(t1), np.cos(t0) / (rho * np.cos(t1)))
+    return [ExactEigenpair(omega1=float(r), d=float(dn), lam=float(eta * r * r),
+                           index=n, gamma=gamma, eta=eta)
+            for n, (r, dn) in enumerate(zip(roots, d), start=1)]
 
 
 def exact_eigenfunction(pair):
     """L2-normalized evaluator for the eigenfunction of a matching-system
     root."""
-    gamma, rho = pair.gamma, np.sqrt(pair.eta)
-    w1, d = pair.omega1, pair.d
-    w0 = rho * w1
-
-    u0 = lambda x: np.sin(w0 * np.asarray(x))
-    u1 = lambda x: d * np.sin(w1 * (np.asarray(x) - 1.0))
-    # 8 panels of 16-point Gauss on each side of gamma
-    edges = np.union1d(np.linspace(0.0, gamma, 9), np.linspace(gamma, 1.0, 9))
-    x, w = composite_rule(edges[:-1], edges[1:], 16)
-    norm = np.sqrt(np.sum(w * np.where(x <= gamma, u0(x), u1(x)) ** 2))
-    c = 1.0 / norm
-    return ExactFunction(
-        gamma=gamma,
-        f0=lambda x: c * np.sin(w0 * np.asarray(x)),
-        f1=lambda x: c * d * np.sin(w1 * (np.asarray(x) - 1.0)),
-        df0=lambda x: c * w0 * np.cos(w0 * np.asarray(x)),
-        df1=lambda x: c * d * w1 * np.cos(w1 * (np.asarray(x) - 1.0)))
+    gamma, w1, d = pair.gamma, pair.omega1, pair.d
+    w0 = np.sqrt(pair.eta) * w1
+    # integral of the squared sines on [0, gamma] and [gamma, 1]
+    norm2 = (gamma / 2.0 - np.sin(2.0 * w0 * gamma) / (4.0 * w0)
+             + d * d * ((1.0 - gamma) / 2.0
+                        - np.sin(2.0 * w1 * (1.0 - gamma)) / (4.0 * w1)))
+    c = 1.0 / np.sqrt(norm2)
+    return _piecewise_sine(gamma, c, w0, c * d, w1)
 
 
 def manufactured_source():
@@ -145,17 +129,7 @@ def manufactured_source():
     (u, f) with f = -(kappa u')'.
     """
     g = 1.0 / 3.0
-    u = ExactFunction(
-        gamma=g,
-        f0=lambda x: np.sin(6.0 * np.pi * np.asarray(x)),
-        f1=lambda x: 0.5 * np.sin(3.0 * np.pi * (np.asarray(x) - 1.0)),
-        df0=lambda x: 6.0 * np.pi * np.cos(6.0 * np.pi * np.asarray(x)),
-        df1=lambda x: 1.5 * np.pi * np.cos(3.0 * np.pi * (np.asarray(x) - 1.0)))
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= g,
-                        36.0 * np.pi**2 * np.sin(6.0 * np.pi * x),
-                        18.0 * np.pi**2 * np.sin(3.0 * np.pi * (x - 1.0)))
-
-    return u, f
+    u = _piecewise_sine(g, 1.0, 6.0 * np.pi, 0.5, 3.0 * np.pi)
+    f = _piecewise_sine(g, 36.0 * np.pi**2, 6.0 * np.pi,
+                        18.0 * np.pi**2, 3.0 * np.pi)
+    return u, f.value

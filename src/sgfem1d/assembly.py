@@ -99,9 +99,10 @@ def assemble(space, prob):
                                        q.w * sample(prob.source, q.x)), ndof)
     q = panel_basis(space, space.p + 2)
     kap = sample(prob.kappa, q.x)
-    if np.any(kap <= 0.0):
+    bad = ~((kap > 0.0) & (kap < np.inf))
+    if bad.any():
         raise CoefficientNotPositiveError(
-            f"kappa <= 0 sampled at x={q.x[kap <= 0.0][0]:.6g}")
+            f"kappa = {kap[bad][0]} not positive and finite at x={q.x[bad][0]:.6g}")
     i, j = q.rows[:, :, None], q.rows[:, None, :]
     index = np.where((i >= 0) & (j >= 0), i * ndof + j, -1)
     K = _scatter(index, _gram(q.ders, kap * q.w), ndof * ndof)

@@ -294,8 +294,9 @@ CONFIG_KEYS = {
 
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an INI-style file plus CLI overrides (None
-    values ignored), both keyed as CONFIG_KEYS.  An unknown key or a value
-    that does not parse raises InvalidArgumentError."""
+    values ignored), both keyed as CONFIG_KEYS.  An unknown key, a value
+    that does not parse, or a CASES name given with gamma or eta raises
+    InvalidArgumentError."""
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -312,6 +313,10 @@ def load_config(path=None, overrides=None):
             raise InvalidArgumentError(f"unreadable config {path}: {msg}") from None
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
+    clash = [k for k in ("gamma", "eta") if k in values]
+    if values.get("case") in CASES and clash:
+        raise InvalidArgumentError(
+            f"case = {values['case']} conflicts with {' and '.join(clash)}")
 
     cfg = SweepConfig()
     for key, text in values.items():

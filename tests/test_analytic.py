@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgfem1d import (build_uniform_mesh, exact_eigenfunction,
+from sgfem1d import (analytic, build_uniform_mesh, exact_eigenfunction,
                      integrate_piecewise, manufactured_source,
                      solve_matching_system)
-from sgfem1d.exceptions import InvalidArgumentError
+from sgfem1d.exceptions import ConvergenceFailureError, InvalidArgumentError
 
 
 def _matching_residuals(pair):
@@ -122,3 +122,52 @@ def test_exact_function_vectorized_eval():
     vals = u.value(xs)
     assert vals.shape == xs.shape
     assert float(vals[0]) == pytest.approx(0.0, abs=1e-14)
+
+
+def _certify(gamma, eta, count=9):
+    """Completeness and indexing of the roots, independent of the scan step:
+    by Sturm's oscillation theorem the n-th eigenfunction has exactly n - 1
+    interior zeros, and each is L2-normalised."""
+    pairs = solve_matching_system(gamma, eta, count)
+    ws = np.array([p.omega1 for p in pairs])
+    assert np.all(np.diff(ws) > 0.0)
+    assert [p.index for p in pairs] == list(range(1, count + 1))
+    for pair in pairs:
+        u = exact_eigenfunction(pair)
+        # 20 or more points per half-wave of the faster side
+        fastest = pair.omega1 * max(np.sqrt(eta), 1.0)
+        x = np.linspace(0.0, 1.0, int(20 * fastest / np.pi) + 3)[1:-1]
+        neg = np.signbit(u.value(x))
+        assert np.count_nonzero(neg[1:] != neg[:-1]) == pair.index - 1
+        mesh = build_uniform_mesh(int(fastest) + 2, gamma)
+        norm2 = integrate_piecewise(lambda x: u.value(x) ** 2, mesh, 12)
+        assert norm2 == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=st.floats(0.02, 0.98), log_eta=st.floats(-4.0, 4.0))
+def test_roots_are_complete_and_indexed(gamma, log_eta):
+    _certify(gamma, 10.0 ** log_eta)
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.5, 0.95, 0.99])
+def test_roots_are_complete_and_indexed_at_corners(gamma, eta):
+    _certify(gamma, eta)
+
+
+@pytest.mark.parametrize("gamma,eta", [
+    (float("nan"), 4.0), (float("inf"), 4.0),
+    (0.5, float("nan")), (0.5, float("inf")),
+])
+def test_non_finite_arguments_rejected(gamma, eta):
+    with pytest.raises(InvalidArgumentError):
+        solve_matching_system(gamma, eta, 3)
+
+
+def test_missing_roots_raise(monkeypatch):
+    # a matching function without a sign change must not scan forever
+    monkeypatch.setattr(analytic, "_matching_F",
+                        lambda w, gamma, rho: 1.0 + 0.0 * w)
+    with pytest.raises(ConvergenceFailureError, match="found 0 of 3"):
+        solve_matching_system(0.3, 4.0, 3)

@@ -117,6 +117,14 @@ def test_nonpositive_coefficient_rejected():
         assemble(space, InterfaceProblem(gamma=mesh.gamma, kappa0=-1.0))
 
 
+@pytest.mark.parametrize("kappa1", [float("nan"), float("inf")])
+def test_non_finite_coefficient_rejected(kappa1):
+    mesh = build_uniform_mesh(10, 1.0 / 3.0)
+    space = build_space(mesh, 1)
+    with pytest.raises(CoefficientNotPositiveError):
+        assemble(space, InterfaceProblem(gamma=mesh.gamma, kappa1=kappa1))
+
+
 def test_load_vector_matches_block_system(benchmark_problem):
     # F is the FEM load F_F followed by the enrichment load F_E
     _, _, prob = benchmark_problem

@@ -210,3 +210,45 @@ def test_eigensolver_failure_exits_3_and_names_the_cell(monkeypatch, capsys):
     assert main(["eigen", "--p", "1", "--N", "10,20,40"]) == 3
     err = capsys.readouterr().err
     assert "No convergence" in err and "(p=1, N=10, FEM)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--gamma", "0.3", "--eta", "nan", "--count", "1"],
+    ["oracle", "--gamma", "0.3", "--eta", "inf", "--count", "1"],
+    ["eigen", "--gamma", "0.3", "--eta", "nan"],
+])
+def test_non_finite_eta_is_config_error(argv, capsys):
+    # each of these used to scan for roots forever
+    assert main(argv) == 2
+    assert "eta must be positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_eta_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\neta = nan\n")
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    assert "eta must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_non_finite_cond_coefficient_is_numerical_failure(eta, capsys):
+    # used to exit 2 with "matrix must be symmetric" after RuntimeWarnings
+    assert main(["cond", "--eta", eta]) == 3
+    assert "not positive and finite" in capsys.readouterr().err
+
+
+def test_config_case_conflicts_with_gamma(tmp_path, capsys):
+    # the case used to win silently over the file's gamma
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ncase = case3\ngamma = 0.3\n")
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "case3" in err and "gamma" in err
+
+
+def test_case_flag_conflicts_with_config_gamma(tmp_path, capsys):
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ngamma = 0.3\n")
+    assert main(["eigen", "--case", "1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "case2" in err and "gamma" in err
