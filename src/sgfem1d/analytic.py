@@ -18,6 +18,8 @@ import numpy as np
 
 from .exceptions import ConvergenceFailureError, InvalidArgumentError
 
+_SCAN_BLOCK = 2**16  # root scan grid points held at a time (a few MB)
+
 
 @dataclass(frozen=True)
 class ExactEigenpair:
@@ -71,9 +73,9 @@ def solve_matching_system(gamma, eta, count):
 
     By domain monotonicity (sines supported on one side only),
     omega1_n <= n pi min(1/(1 - gamma), 1/(rho gamma)), so the matching
-    function is sampled once up to that bound; its sign changes are refined
-    by bisection and the amplitude d follows from the matching relation with
-    the better-conditioned denominator.
+    function is sampled in blocks up to that bound until `count` sign changes
+    are seen; these are refined by bisection and the amplitude d follows
+    from the matching relation with the better-conditioned denominator.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
@@ -84,15 +86,21 @@ def solve_matching_system(gamma, eta, count):
     rho = np.sqrt(eta)
     step = min(np.pi / (rho * 8.0), np.pi / 8.0) / max(gamma, 1.0 - gamma)
     bound = count * np.pi * min(1.0 / (1.0 - gamma), 1.0 / (rho * gamma))
-    # step, 2 step, ... summed in order: the grid of a step-by-step scan
-    w = np.cumsum(np.full(int(bound / step) + 1, step))
-    neg = np.signbit(_matching_F(w, gamma, rho))
-    lo = np.flatnonzero(neg[1:] != neg[:-1])[:count]
-    if lo.size < count:
+    # step, 2 step, ... summed in order (the grid of a step-by-step scan),
+    # in blocks that each start from the last point of the one before
+    n, w, found = int(bound / step) + 1, np.array([step]), []
+    for start in range(1, n, _SCAN_BLOCK):
+        w = np.cumsum(np.append(w[-1], np.full(min(_SCAN_BLOCK, n - start), step)))
+        neg = np.signbit(_matching_F(w, gamma, rho))
+        lo = np.flatnonzero(neg[1:] != neg[:-1])
+        found += zip(w[lo], w[lo + 1], neg[lo])
+        if len(found) >= count:
+            break
+    if len(found) < count:
         raise ConvergenceFailureError(
-            f"found {lo.size} of {count} matching roots below omega1 = {bound:.6g}"
+            f"found {len(found)} of {count} matching roots below omega1 = {bound:.6g}"
             f" (gamma={gamma}, eta={eta})")
-    a, b, neg_a = w[lo], w[lo + 1], neg[lo]
+    a, b, neg_a = map(np.array, zip(*found[:count]))
     while (wide := b - a > 1e-14 * a).any():
         m = 0.5 * (a + b)
         left = np.signbit(_matching_F(m, gamma, rho)) == neg_a

@@ -4,7 +4,8 @@ All integrals use panel-wise Gauss quadrature split at the interface
 (basis.panel_basis), so every integrand is a (piecewise) polynomial on
 each panel; p+2 points per panel integrate the enrichment products
 exactly.  The element matrices of all panels come from one contraction
-and are summed into the global matrix by one scatter.
+and are summed by one scatter straight into LAPACK lower band storage, in
+the row order the solver factors in: O(ndof) memory, no dense matrix.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import panel_basis
+from .densela import _band_form
 from .exceptions import CoefficientNotPositiveError, InvalidArgumentError
 from .quadrature import sample
 
@@ -34,49 +36,57 @@ class InterfaceProblem:
         return np.where(x <= self.gamma, k0, k1)
 
 
+class _BandView(np.ndarray):
+    """A dense matrix that carries its lower band form to densela."""
+
+    band = None  # (order, ab); slices, products and copies carry none
+
+
+def _dense(order, ab):
+    """Read-only dense matrix of the lower band ab in the row order ``order``
+    (new position -> row), carrying both: zeros plus a scatter of the band."""
+    n = len(order)
+    A = np.zeros((n, n)).view(_BandView)
+    for d in range(len(ab)):  # band row d holds A[order[j + d], order[j]]
+        A[order[d:], order[:n - d]] = A[order[:n - d], order[d:]] = ab[d, :n - d]
+    A.band = (order, ab)
+    for a in (A, ab):
+        a.setflags(write=False)
+    return A
+
+
 class BlockSystem:
     """Assembled stiffness K, mass M and, for a source problem, load F
-    (else None), read-only, FEM rows first and enrichment rows after.  M is
-    built by the zero-argument callable ``mass`` on first access (a source
-    problem needs only K and F) and kept.  The 2x2 blocks K_FF..M_EE and
-    F_F, F_E are views into them."""
+    (else None), read-only, FEM rows first and enrichment rows after.  K and
+    M are lower bands in the solver's order (M's built by ``mass`` on first
+    read: a source problem needs only K and F); ``.K`` and ``.M`` are dense
+    views of them, built on first read, that carry the bands to densela.
+    The 2x2 blocks K_FF..M_EE and F_F, F_E are views into them."""
 
-    def __init__(self, K, mass, F, n_fem):
-        for a in (K,) if F is None else (K, F):
-            a.setflags(write=False)
-        self._K, self._mass, self._M, self._F = K, mass, None, F
-        self.n_fem = n_fem
+    def __init__(self, order, kb, mass, F, n_fem):
+        if F is not None:
+            F.setflags(write=False)
+        self._order, self._F, self.n_fem = order, F, n_fem
+        self._bands, self._dense = {"K": lambda: kb, "M": mass}, {}
 
-    @property
-    def M(self):
-        if self._M is None:
-            self._M = self._mass()
-            self._M.setflags(write=False)
-            self._mass = None
-        return self._M
+    def _view(self, name):
+        if name not in self._dense:
+            self._dense[name] = _dense(self._order, self._bands.pop(name)())
+        return self._dense[name]
 
-    K = property(lambda self: self._K)
+    K = property(lambda self: self._view("K"))
+    M = property(lambda self: self._view("M"))
     F = property(lambda self: self._F)
-    K_FF = property(lambda self: self._K[:self.n_fem, :self.n_fem])
-    K_FE = property(lambda self: self._K[:self.n_fem, self.n_fem:])
-    K_EF = property(lambda self: self._K[self.n_fem:, :self.n_fem])
-    K_EE = property(lambda self: self._K[self.n_fem:, self.n_fem:])
+    K_FF = property(lambda self: self.K[:self.n_fem, :self.n_fem])
+    K_FE = property(lambda self: self.K[:self.n_fem, self.n_fem:])
+    K_EF = property(lambda self: self.K[self.n_fem:, :self.n_fem])
+    K_EE = property(lambda self: self.K[self.n_fem:, self.n_fem:])
     M_FF = property(lambda self: self.M[:self.n_fem, :self.n_fem])
     M_FE = property(lambda self: self.M[:self.n_fem, self.n_fem:])
     M_EF = property(lambda self: self.M[self.n_fem:, :self.n_fem])
     M_EE = property(lambda self: self.M[self.n_fem:, self.n_fem:])
     F_F = property(lambda self: None if self._F is None else self._F[:self.n_fem])
     F_E = property(lambda self: None if self._F is None else self._F[self.n_fem:])
-
-
-def _scatter(index, local, size):
-    """Sum the entries of local into a vector of the given size at the
-    flat positions index (same shape as local); index -1 drops an entry."""
-    # Dropped entries land in one extra bin, cut off below.  bincount adds
-    # in input order, so (i, j) and (j, i) of symmetric element matrices
-    # give an exactly symmetric global matrix.
-    return np.bincount(np.where(index >= 0, index, size).ravel(),
-                       weights=local.ravel(), minlength=size + 1)[:size]
 
 
 def _gram(f, weight):
@@ -95,20 +105,15 @@ def assemble(space, prob):
     if prob.source is not None:
         # the source term need not be polynomial, so the load uses a finer rule
         q = panel_basis(space, space.p + 6)
-        F = _scatter(q.rows, np.einsum("pfn,pn->pf", q.vals,
-                                       q.w * sample(prob.source, q.x)), ndof)
+        load = np.einsum("pfn,pn->pf", q.vals, q.w * sample(prob.source, q.x))
+        F = np.bincount(q.rows[q.rows >= 0], load[q.rows >= 0], minlength=ndof)
     q = panel_basis(space, space.p + 2)
     kap = sample(prob.kappa, q.x)
     bad = ~((kap > 0.0) & (kap < np.inf))
     if bad.any():
         raise CoefficientNotPositiveError(
             f"kappa = {kap[bad][0]} not positive and finite at x={q.x[bad][0]:.6g}")
-    i, j = q.rows[:, :, None], q.rows[:, None, :]
-    index = np.where((i >= 0) & (j >= 0), i * ndof + j, -1)
-    K = _scatter(index, _gram(q.ders, kap * q.w), ndof * ndof)
-
-    def mass():
-        return _scatter(index, _gram(q.vals, q.w), ndof * ndof).reshape(ndof, ndof)
-
-    return BlockSystem(K.reshape(ndof, ndof), mass, F, space.n_fem)
-
+    # K and M couple the rows that share a panel
+    order, band = _band_form(ndof, q.rows[:, :, None], q.rows[:, None, :])
+    return BlockSystem(order, band(_gram(q.ders, kap * q.w)),
+                       lambda: band(_gram(q.vals, q.w)), F, space.n_fem)

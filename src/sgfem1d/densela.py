@@ -1,12 +1,12 @@
 """Symmetric linear algebra in LAPACK band storage: SPD solve, the smallest
 generalized eigenpairs, scaled condition numbers.
 
-The matrices come in dense, but they are banded except for the enrichment
-rows, which sit at the end.  Each function reads the nonzero pattern once,
-checks symmetry on it, and orders the rows by their first nonzero column
-(stably), which puts every enrichment row next to its interface element:
-the half-bandwidth becomes at most 2p+1 for SGFEM and stays p for FEM.  K
-is factored in lower band storage by LAPACK's banded Cholesky (dpbtrf).
+The matrices come in dense and are banded except for the enrichment rows,
+which sit at the end.  Rows ordered by their first nonzero column (stably)
+put every enrichment row next to its interface element: half-bandwidth at
+most 2p+1 for SGFEM, p for FEM.  Assembled matrices carry that order and
+their bands; other input is scanned for its pattern, on which symmetry is
+checked.  K is factored by LAPACK's banded Cholesky (dpbtrf).
 
 Every eigenvalue comes from ARPACK's implicitly restarted Lanczos method
 (scipy's eigsh) on band operators: products by dsbmv, and inverses, for the
@@ -44,17 +44,16 @@ def _square(A):
 def cholesky(A):
     """Lower-triangular L with L L^T = A; raises if A is not SPD."""
     A = _square(A)
-    _pattern(A, len(A))  # raises unless A is symmetric
+    _symmetric(A, len(A))
     try:
         return np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
 
 
-def _pattern(A, n):
-    """Rows, columns and values of the nonzeros of the symmetric n x n
-    matrix A; symmetry is checked on those entries, to 1e-12 relative to
-    each entry plus 1e-12 of the largest (at least 1e-12)."""
+def _symmetric(A, n):
+    """A as a float n x n array if symmetric on its nonzeros, to 1e-12 of
+    each entry plus 1e-12 of the largest (at least 1e-12); else raises."""
     A = _square(A)
     if A.shape[0] != n:
         raise InvalidArgumentError(f"matrix must be {n}x{n}, got {A.shape}")
@@ -65,36 +64,45 @@ def _pattern(A, n):
     atol = 1e-12 * max(1.0, np.abs(vals).max(initial=0.0))
     if not np.all(np.abs(vals - mirror) <= atol + 1e-12 * np.abs(mirror)):
         raise InvalidArgumentError("matrix must be symmetric")
-    return rows, cols, vals
+    return A
 
 
-def _banded(*mats, scale=None):
-    """The band form shared by every function of this module.
-
-    Orders the rows of the square symmetric matrices by the first nonzero
-    column of their union pattern (a stable sort) and returns the order
-    (new position -> old row) and each matrix in lower band storage of the
-    common half-bandwidth in that order.  ``scale``, if given, multiplies
-    rows and columns of every matrix."""
-    n = _square(mats[0]).shape[0]
-    patterns = [_pattern(A, n) for A in mats]
+def _band_form(n, rows, cols):
+    """For n x n symmetric matrices with entries at (rows, cols) (index
+    arrays that broadcast, -1: none), the row order (new position -> old
+    row) by first coupled column, stably, and a function that sums values
+    given at (rows, cols), in input order, into lower band storage in it."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    keep = (rows >= 0) & (cols >= 0)
     first = np.arange(n)
-    for rows, cols, _ in patterns:
-        np.minimum.at(first, rows, cols)
+    np.minimum.at(first, rows[keep], cols[keep])
     order = np.argsort(first, kind="stable")
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
-    kd = max(int(np.max(pos[r] - pos[c], initial=0)) for r, c, _ in patterns)
-    bands = []
-    for rows, cols, vals in patterns:
-        i, j = pos[rows], pos[cols]
-        lower = i >= j
-        ab = np.zeros((kd + 1, n))
-        if scale is not None:
-            vals = vals * scale[rows] * scale[cols]
-        ab[(i - j)[lower], j[lower]] = vals[lower]
-        bands.append(ab)
-    return order, bands
+    i, j = pos[rows], pos[cols]
+    lower = keep & (i >= j)
+    size = (int(np.max((i - j)[lower], initial=0)) + 1) * n
+    index = np.where(lower, (i - j) * n + j, size).ravel()
+
+    def band(vals):
+        # the extra bin takes the dropped entries
+        return np.bincount(index, weights=vals.ravel(),
+                           minlength=size + 1)[:size].reshape(-1, n)
+
+    return order, band
+
+
+def _banded(*mats):
+    """_band_form of the square symmetric matrices' union pattern: the one
+    they carry (as an assembled system's do), else found by a scan."""
+    carried = [getattr(A, "band", None) for A in mats]
+    if all(b is not None and b[0] is carried[0][0] for b in carried):
+        return carried[0][0], [ab for _, ab in carried]
+    n = _square(mats[0]).shape[0]
+    mats = [_symmetric(A, n) for A in mats]
+    rows, cols = np.nonzero(np.any([A != 0.0 for A in mats], axis=0))
+    order, band = _band_form(n, rows, cols)
+    return order, [band(A[rows, cols]) for A in mats]
 
 
 def _factor(ab):
@@ -167,12 +175,14 @@ def generalized_eigs(K, M, k):
 
 def scaled_condition_number(A):
     """lambda_max / lambda_min of D^{-1/2} A D^{-1/2} with D = diag(A)."""
-    A = _square(A)
-    d = np.diag(A)
-    if np.any(d <= 0.0):
+    _, (ab,) = _banded(A)
+    if np.any(ab[0] <= 0.0):
         raise NotPositiveDefiniteError("diagonal has nonpositive entries")
-    _, (ab,) = _banded(A, scale=1.0 / np.sqrt(d))
+    s = 1.0 / np.sqrt(ab[0])
+    # entry (d, j) of the band sits in row j + d (past the end: a zero)
+    rows = np.add.outer(np.arange(len(ab)), np.arange(len(s)))
+    ab = ab * s[np.minimum(rows, len(s) - 1)] * s
     c = _factor(ab)
-    if len(d) == 1:  # ARPACK needs n >= 2
+    if len(s) == 1:  # ARPACK needs n >= 2
         return 1.0
     return _lanczos(ab)[0][0] / _lanczos(ab, c=c)[0][0]

@@ -57,11 +57,8 @@ def build_uniform_mesh(N, gamma):
 
     j_near = int(round(gamma * N))
     fitting = abs(gamma - j_near * h) < FITTING_TOL
-    if fitting:
-        # element to the left of the coinciding node
-        r = max(j_near, 1)
-    else:
-        r = int(np.searchsorted(nodes, gamma))
+    # fitting: the element to the left of the coinciding node
+    r = max(j_near, 1) if fitting else _element(nodes, gamma)
     return Mesh1D(N=N, nodes=nodes, h=h, gamma=float(gamma), r=r, fitting=fitting)
 
 
@@ -75,5 +72,10 @@ def locate(mesh, x):
     outside = ~((x >= 0.0) & (x <= 1.0))
     if np.any(outside):
         raise OutOfDomainError(f"x={x[outside][0]} outside [0, 1]")
-    k = np.maximum(np.searchsorted(mesh.nodes, x, side="left"), 1)
+    return _element(mesh.nodes, x)
+
+
+def _element(nodes, x):
+    """1-based element of x among the nodes, by the rule of locate."""
+    k = np.maximum(np.searchsorted(nodes, x, side="left"), 1)
     return int(k) if k.ndim == 0 else k

@@ -1,5 +1,7 @@
 """Exact reference eigenpairs, eigenfunctions, and the manufactured source."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,3 +173,27 @@ def test_missing_roots_raise(monkeypatch):
                         lambda w, gamma, rho: 1.0 + 0.0 * w)
     with pytest.raises(ConvergenceFailureError, match="found 0 of 3"):
         solve_matching_system(0.3, 4.0, 3)
+
+
+def test_extreme_contrast_scan_memory_is_bounded():
+    # gamma = 1e-5, eta = 1e12: a scan grid of 7.2e6 points (55 MB as one
+    # array), sampled block by block
+    tracemalloc.start()
+    try:
+        pairs = solve_matching_system(1e-5, 1e12, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    ws = [p.omega1 for p in pairs]
+    assert all(b > a for a, b in zip(ws, ws[1:]))
+    assert [p.index for p in pairs] == list(range(1, 10))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_scan_blocks_do_not_move_roots(monkeypatch, block):
+    # each block restarts the running sum from the last point of the one
+    # before, so every grid point, and every root, is bit-identical
+    want = solve_matching_system(0.3, 5.0, 8)
+    monkeypatch.setattr(analytic, "_SCAN_BLOCK", block)
+    assert solve_matching_system(0.3, 5.0, 8) == want

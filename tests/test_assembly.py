@@ -1,5 +1,7 @@
 """Stiffness/mass/load assembly against hand computations and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -81,6 +83,20 @@ def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     assert sys_.M is M and not M.flags.writeable
     assert np.shares_memory(M_EE, M)
     assert len(calls) == 2
+
+
+def test_assembly_memory_is_linear_in_ndof(benchmark_problem):
+    # p=3, N=1000: ndof 3003, so one dense K would take 72 MB; the bands of
+    # half-bandwidth 7 take 0.2 MB
+    _, _, prob = benchmark_problem
+    space = build_space(build_uniform_mesh(1000, prob.gamma), 3)
+    tracemalloc.start()
+    try:
+        assemble(space, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_mass_matrix_total_is_function_inner_products():

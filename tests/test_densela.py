@@ -153,14 +153,14 @@ def test_indefinite_input_is_rejected(call):
 
 
 @st.composite
-def cells(draw, max_N=40):
+def cells(draw, max_N=40, min_eta=0.25):
     """(p, N, gamma, eta, enrich) of an assembled cell; gamma on a node or
     at least h/10 away from every node."""
     N = draw(st.integers(2, max_N))
     t = draw(st.one_of(st.just(0.0), st.floats(0.1, 0.9)))
     i = draw(st.integers(0 if t else 1, N - 1))
-    return (draw(st.integers(1, 4)), N, (i + t) / N, draw(st.floats(0.25, 16.0)),
-            draw(st.booleans()))
+    return (draw(st.integers(1, 4)), N, (i + t) / N,
+            draw(st.floats(min_eta, 16.0)), draw(st.booleans()))
 
 
 def _assemble(p, N, gamma, eta, enrich):
@@ -301,3 +301,67 @@ def test_arpack_failure_is_a_convergence_failure(monkeypatch):
         generalized_eigs(K, M, 2)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):
         scaled_condition_number(K)
+
+
+def _reference_band(K, M):
+    """Row order and lower bands of K and M by a plain dense scan: rows
+    sorted (stably) by the first nonzero column of the union pattern."""
+    nonzero = (K != 0.0) | (M != 0.0)
+    order = np.argsort(np.argmax(nonzero, axis=1), kind="stable")
+    pos = np.argsort(order)
+    r, c = np.nonzero(nonzero)
+    r, c = r[pos[r] >= pos[c]], c[pos[r] >= pos[c]]
+    bands = [np.zeros((np.max(pos[r] - pos[c]) + 1, len(K))) for _ in "KM"]
+    for ab, A in zip(bands, (K, M)):
+        ab[pos[r] - pos[c], pos[c]] = A[r, c]
+    return order, bands
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=cells(max_N=60, min_eta=1.0 / 16.0))
+@example(cell=(3, 60, 1.0 / 3.0, 4.0, True))
+@example(cell=(4, 7, 3.0 / 7.0, 1.0 / 16.0, True))  # fitting: no enrichment
+def test_assembled_band_equals_pattern_scan(cell):
+    # assembly scatters into the band the solver would find by scanning the
+    # dense matrices, entry for entry, so every result is bit-identical
+    _, system = _assemble(*cell)
+    K, M, F = system.K, system.M, system.F
+    Kd, Md = np.array(K), np.array(M)
+    order, bands = _banded(K, M)
+    for want_order, want_bands in (_banded(Kd, Md), _reference_band(Kd, Md)):
+        np.testing.assert_array_equal(order, want_order)
+        for ab, want in zip(bands, want_bands):
+            assert ab.shape == want.shape and np.array_equal(ab, want)
+    assert np.array_equal(solve_spd(K, F), solve_spd(Kd, F))
+    k = min(len(F), 8)
+    got, want = generalized_eigs(K, M, k), generalized_eigs(Kd, Md, k)
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
+    assert scaled_condition_number(K) == scaled_condition_number(Kd)
+
+
+def test_derived_arrays_carry_no_band(small_sgfem_system):
+    _, system = small_sgfem_system
+    K = system.K
+    assert K.band is not None and not K.flags.writeable
+    x = np.ones(len(K))
+    for A in (K.T, K[:5, :5], K[::-1], K @ x, K @ K, 2.0 * K, K.copy(),
+              np.array(K)):
+        assert getattr(A, "band", None) is None
+
+
+def test_matrices_of_two_systems_take_the_pattern_path(monkeypatch):
+    scans = []
+    band_form = densela._band_form
+    monkeypatch.setattr(densela, "_band_form",
+                        lambda *args: scans.append(args) or band_form(*args))
+    _, one = _assemble(2, 10, 0.31, 4.0, True)
+    _, two = _assemble(2, 10, 0.31, 4.0, True)
+    want = generalized_eigs(one.K, one.M, 3)
+    solve_spd(one.K, one.F)
+    scaled_condition_number(one.K)
+    assert scans == []  # an assembled system's own K and M carry one order
+    got = generalized_eigs(one.K, two.M, 3)
+    assert len(scans) == 1
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
