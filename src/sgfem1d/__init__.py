@@ -13,7 +13,7 @@ from .assembly import BlockSystem, InterfaceProblem, assemble
 from .basis import (DofVector, EnrichedSpace, build_interface_interpolant,
                     build_space, eval_enrichment, eval_fem_basis,
                     eval_solution, represent_piecewise_poly)
-from .densela import (EigenSolution, cholesky, generalized_eigs,
+from .densela import (EigenSolution, generalized_eigs,
                       scaled_condition_number, solve_spd)
 from .errors import (MACHINE_FLOOR, TABLE_FLOOR, ErrorRecord,
                      align_eigenfunction, fit_rate,

@@ -8,18 +8,22 @@ most 2p+1 for SGFEM, p for FEM.  Assembled matrices carry that order and
 their bands; other input is scanned for its pattern, on which symmetry is
 checked.  K is factored by LAPACK's banded Cholesky (dpbtrf).
 
-Every eigenvalue comes from ARPACK's implicitly restarted Lanczos method
-(scipy's eigsh) on band operators: products by dsbmv, and inverses, for the
-smallest eigenvalues, by dpbtrs on the band Cholesky factor.
+Eigenvalues come from ARPACK's implicitly restarted Lanczos method
+(scipy's eigsh) in standard mode, as the largest of one symmetric band
+operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
+mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
+operator K^-1 M, applied by two triangular band solves (dtbsv) on the
+Cholesky factor around a band product (dsbmv) by M: the reduction through
+K of the dense k = n branch, on the band.  The scaled condition number
+takes its extremes from dsbmv and from dpbtrs.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import dsbmv
+from scipy.linalg.blas import dsbmv, dtbsv
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .exceptions import (ConvergenceFailureError, InvalidArgumentError,
@@ -39,16 +43,6 @@ def _square(A):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     return A
-
-
-def cholesky(A):
-    """Lower-triangular L with L L^T = A; raises if A is not SPD."""
-    A = _square(A)
-    _symmetric(A, len(A))
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
 
 
 def _symmetric(A, n):
@@ -114,26 +108,22 @@ def _factor(ab):
     return c
 
 
-def _lanczos(ab, k=1, c=None, mb=None):
-    """k eigenpairs (ascending) of the band ab, or of the pencil (ab, mb), by
-    ARPACK's Lanczos method from a fixed start vector: the largest or, given
-    the band Cholesky factor c of ab, the smallest by shift-invert about 0."""
-    n = ab.shape[1]
-    op = partial(LinearOperator, (n, n), dtype=float)
-
-    def band(b):
-        return op(lambda x: dsbmv(len(b) - 1, 1.0, b, x, lower=1))
-
-    mode = {"which": "LA"} if c is None else {
-        "sigma": 0.0, "OPinv": op(lambda x: lapack.dpbtrs(c, x, lower=1)[0]),
-        "M": None if mb is None else band(mb)}
+def _lanczos(apply, n, k=1):
+    """The k largest eigenpairs (ascending) of the symmetric operator x ->
+    apply(x) on R^n, by ARPACK's Lanczos method from a fixed start vector."""
     try:
-        vals, vecs = eigsh(band(ab), k, tol=0, v0=np.random.default_rng(0)
-                           .standard_normal(n), **mode)
+        vals, vecs = eigsh(LinearOperator((n, n), apply, dtype=float), k,
+                           which="LA", tol=0,
+                           v0=np.random.default_rng(0).standard_normal(n))
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceFailureError(str(exc)) from exc
     i = np.argsort(vals)
     return vals[i], vecs[:, i]
+
+
+def _product(ab):
+    """x -> A x for the lower band ab of A."""
+    return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1)
 
 
 def solve_spd(K, F):
@@ -149,10 +139,11 @@ def solve_spd(K, F):
 
 
 def generalized_eigs(K, M, k):
-    """k smallest eigenpairs of K v = lambda M v for SPD K, M: by ARPACK in
-    shift-invert mode about 0 on the band factor of K or, for k = n, which
-    ARPACK does not take, from the dense pencil (M, K).  Eigenvectors are
-    M-orthonormal, and the entry of largest magnitude of each is positive."""
+    """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
+    the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
+    the band factor C or, for k = n, which ARPACK does not take, from the
+    dense pencil (M, K).  Eigenvectors are M-orthonormal, and the entry of
+    largest magnitude of each is positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -162,13 +153,19 @@ def generalized_eigs(K, M, k):
         _factor(mb)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
+    # reduced through K, so the smallest lambda = 1/mu stay accurate; the
+    # columns of W are K-orthonormal
     if k == n:
-        # reduced through K, so the smallest lambda = 1/mu stay accurate
         mu, W = scipy.linalg.eigh(M, K)
-        vals, V = 1.0 / mu[::-1], W[:, ::-1] / np.sqrt(mu[::-1])
     else:
-        vals, X = _lanczos(kb, k, c, mb) if k else (np.empty(0), np.empty((n, 0)))
-        V = X[np.argsort(order)]
+        def solve(x, trans=0):  # C^-1 x, or C^-T x
+            return dtbsv(len(c) - 1, c, x, lower=1, trans=trans)
+
+        m = _product(mb)
+        mu, Y = (_lanczos(lambda y: solve(m(solve(y, trans=1))), n, k) if k
+                 else (np.empty(0), np.empty((n, 0))))
+        W = lapack.dtbtrs(c, Y, uplo="L", trans="T")[0][np.argsort(order)]
+    vals, V = 1.0 / mu[::-1], W[:, ::-1] / np.sqrt(mu[::-1])
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
     return EigenSolution(values=vals, vectors=V)
 
@@ -185,4 +182,5 @@ def scaled_condition_number(A):
     c = _factor(ab)
     if len(s) == 1:  # ARPACK needs n >= 2
         return 1.0
-    return _lanczos(ab)[0][0] / _lanczos(ab, c=c)[0][0]
+    return (_lanczos(_product(ab), len(s))[0][0] * _lanczos(
+        lambda x: lapack.dpbtrs(c, x, lower=1)[0], len(s))[0][0])

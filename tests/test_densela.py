@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgfem1d import (InterfaceProblem, assemble, build_space,
-                     build_uniform_mesh, cholesky, generalized_eigs,
+                     build_uniform_mesh, generalized_eigs,
                      scaled_condition_number, solve_spd)
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -24,20 +24,16 @@ def _random_spd(n, seed, shift=1.0):
     return A @ A.T + shift * np.eye(n)
 
 
-def test_cholesky_round_trip():
+def test_solve_spd_round_trip():
     A = _random_spd(12, 0)
-    L = cholesky(A)
-    assert np.allclose(np.triu(L, 1), 0.0)
-    np.testing.assert_allclose(L @ L.T, A, rtol=1e-12)
+    np.testing.assert_allclose(A @ solve_spd(A, A), A, rtol=1e-12)
 
 
-def test_cholesky_rejects_bad_inputs():
+def test_solve_spd_rejects_non_square():
+    # symmetry and definiteness: test_nonsymmetric_input_is_rejected and
+    # test_indefinite_input_is_rejected
     with pytest.raises(InvalidArgumentError):
-        cholesky(np.ones((2, 3)))
-    with pytest.raises(InvalidArgumentError):
-        cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(NotPositiveDefiniteError):
-        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        solve_spd(np.ones((2, 3)), np.ones(2))
 
 
 @settings(max_examples=25)
@@ -172,6 +168,8 @@ def _assemble(p, N, gamma, eta, enrich):
 
 @settings(max_examples=40, deadline=None)
 @given(cell=cells())
+@example(cell=(3, 160, 1.0 / np.pi, np.e ** 2, True))  # case3, SGFEM
+@example(cell=(4, 17, 0.68, 4.0, True))  # nearly dependent enriched basis
 def test_banded_matches_dense_references(cell):
     _, system = _assemble(*cell)
     K, M, F = system.K, system.M, system.F
@@ -301,6 +299,28 @@ def test_arpack_failure_is_a_convergence_failure(monkeypatch):
         generalized_eigs(K, M, 2)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):
         scaled_condition_number(K)
+
+
+def test_every_arpack_call_is_standard_mode(monkeypatch, small_sgfem_system):
+    # one Lanczos run on one symmetric operator per extreme: an M operator
+    # or shift-invert mode adds a Python call back for every M product
+    _, system = small_sgfem_system
+    K, M = system.K, system.M
+    want = generalized_eigs(K, M, 5), scaled_condition_number(K)
+    calls = []
+    eigsh = densela.eigsh
+    monkeypatch.setattr(densela, "eigsh", lambda *args, **kwargs: calls.append(
+        (args, kwargs)) or eigsh(*args, **kwargs))
+    got = generalized_eigs(K, M, 5)
+    assert len(calls) == 1
+    cond = scaled_condition_number(K)
+    assert len(calls) == 3
+    for args, kwargs in calls:
+        assert len(args) == 2 and kwargs.get("which") == "LA"
+        assert not {"M", "sigma", "OPinv"} & kwargs.keys()
+    assert np.array_equal(got.values, want[0].values)
+    assert np.array_equal(got.vectors, want[0].vectors)
+    assert cond == want[1]
 
 
 def _reference_band(K, M):
