@@ -11,6 +11,7 @@ p+1 products w * N_j for the nodal functions of the interface element.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +20,9 @@ from .mesh import locate
 from .quadrature import composite_rule, panels
 
 
-def lagrange_all(p, t, deriv=0):
-    """Values (or first derivatives) of all p+1 equispaced Lagrange shape
-    functions on [0, 1] at reference coordinates t.
-
-    Returns an array of shape (p+1,) + shape(t).
-    """
+def _lagrange(p, t):
+    """Values and first derivatives, each of shape (p+1,) + shape(t), of all
+    p+1 equispaced Lagrange shape functions on [0, 1] at reference points t."""
     t = np.asarray(t, dtype=float)
     ts = np.linspace(0.0, 1.0, p + 1)
     d = t - ts.reshape((p + 1,) + (1,) * t.ndim)
@@ -40,13 +38,16 @@ def lagrange_all(p, t, deriv=0):
         suf[k - 1] = suf[k] * d[k]
     denom = np.prod(ts[:, None] - ts + np.eye(p + 1), axis=1)
     denom = denom.reshape((p + 1,) + (1,) * t.ndim)
-    if deriv == 0:
-        return pre * suf / denom
-    out = (dpre * suf + pre * dsuf) / denom
+    ders = (dpre * suf + pre * dsuf) / denom
     # The derivatives of a partition of unity sum to zero.  Enforcing it
     # keeps K * const = 0 on each element to rounding: a table shared by
     # every element would otherwise repeat its error in every row of K.
-    return out - out.mean(axis=0)
+    return pre * suf / denom, ders - ders.mean(axis=0)
+
+
+def lagrange_all(p, t, deriv=0):
+    """The values (deriv=0) or the first derivatives of _lagrange."""
+    return _lagrange(p, t)[1 if deriv else 0]
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,15 @@ class EnrichedSpace:
     def element_dofs(self, k):
         """Global indices of the p+1 nodes of element k (1-based)."""
         return np.arange((k - 1) * self.p, k * self.p + 1)
+
+    @cached_property  # kept in the instance __dict__: freed with the space
+    def norm_basis(self):
+        """The (p+4)-point PanelBasis of the error norms and the alignment,
+        built on first use and shared, read-only, by every later call."""
+        q = panel_basis(self, self.p + 4)
+        for a in (q.x, q.w, q.rows, q.vals, q.ders):
+            a.setflags(write=False)
+        return q
 
 
 @dataclass
@@ -281,10 +291,10 @@ def _basis_values(space, elements, t, which):
     rows, vals, ders = np.full(shape[:2], -1), np.zeros(shape), np.zeros(shape)
     g = (elements[:, None] - 1) * p + np.arange(p + 1)
     rows[:, :p + 1] = np.where(g <= nf, g - 1, -1)
-    vals[:, :p + 1] = lagrange_all(p, t, 0).transpose(1, 0, 2)[which]
+    lv, ld = _lagrange(p, t)
+    vals[:, :p + 1] = lv.transpose(1, 0, 2)[which]
     h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-    ders[:, :p + 1] = (lagrange_all(p, t, 1).transpose(1, 0, 2)[which]
-                       / h[:, None, None])
+    ders[:, :p + 1] = ld.transpose(1, 0, 2)[which] / h[:, None, None]
     if ne:
         # w = h * reference_enrichment, on the interface element only
         on = elements == mesh.r

@@ -13,9 +13,9 @@ Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
 mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
 operator K^-1 M, applied by two triangular band solves (dtbsv) on the
-Cholesky factor around a band product (dsbmv) by M: the reduction through
-K of the dense k = n branch, on the band.  The scaled condition number
-takes its extremes from dsbmv and from dpbtrs.
+Cholesky factor around a band product (dsbmv) by M.  Pencils too small
+for a Lanczos basis smaller than R^n go to a dense solver.  The scaled
+condition number takes its extremes from dsbmv and from dpbtrs.
 """
 
 from dataclasses import dataclass
@@ -123,6 +123,7 @@ def _lanczos(apply, n, k=1):
 
 def _product(ab):
     """x -> A x for the lower band ab of A."""
+    ab = np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
     return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1)
 
 
@@ -141,9 +142,10 @@ def solve_spd(K, F):
 def generalized_eigs(K, M, k):
     """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
     the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
-    the band factor C or, for k = n, which ARPACK does not take, from the
-    dense pencil (M, K).  Eigenvectors are M-orthonormal, and the entry of
-    largest magnitude of each is positive."""
+    the band factor C, refined by one inverse-iteration and Rayleigh-Ritz
+    step, or, for n <= max(2k + 1, 20), from the dense pencil.  Eigenvectors
+    are M-orthonormal, and the entry of largest magnitude of each is
+    positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -153,19 +155,24 @@ def generalized_eigs(K, M, k):
         _factor(mb)
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
-    # reduced through K, so the smallest lambda = 1/mu stay accurate; the
-    # columns of W are K-orthonormal
-    if k == n:
-        mu, W = scipy.linalg.eigh(M, K)
+    if k == 0:
+        return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
+    if n <= max(2 * k + 1, 20):  # a Lanczos basis would span R^n
+        vals, V = scipy.linalg.eigh(K, M, subset_by_index=[0, k - 1])
     else:
-        def solve(x, trans=0):  # C^-1 x, or C^-T x
-            return dtbsv(len(c) - 1, c, x, lower=1, trans=trans)
-
-        m = _product(mb)
-        mu, Y = (_lanczos(lambda y: solve(m(solve(y, trans=1))), n, k) if k
-                 else (np.empty(0), np.empty((n, 0))))
-        W = lapack.dtbtrs(c, Y, uplo="L", trans="T")[0][np.argsort(order)]
-    vals, V = 1.0 / mu[::-1], W[:, ::-1] / np.sqrt(mu[::-1])
+        m, kd = _product(mb), len(c) - 1
+        Y = _lanczos(lambda y: dtbsv(kd, c, m(dtbsv(  # C^-1 M C^-T y
+            kd, c, y, lower=1, trans=1)), lower=1), n, k)[1]
+        # One inverse-iteration step, W = K^-1 M C^-T Y, purges the Ritz
+        # vectors of the huge lambda of a nearly dependent basis, which the
+        # residual amplifies; Rayleigh-Ritz in span(W) restores the pairs.
+        P = np.column_stack([m(x) for x in lapack.dtbtrs(
+            c, Y, uplo="L", trans="T")[0].T])
+        W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
+        mu, U = scipy.linalg.eigh(
+            W.T @ np.column_stack([m(w) for w in W.T]), W.T @ P)
+        vals = 1.0 / mu[::-1]
+        V = (W @ U)[np.argsort(order), ::-1] / np.sqrt(mu[::-1])
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
     return EigenSolution(values=vals, vectors=V)
 

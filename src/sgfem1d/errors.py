@@ -1,10 +1,12 @@
-"""Interface-aware error norms, eigenfunction alignment, and rate fits."""
+"""Interface-aware error norms, eigenfunction alignment, and rate fits.
+
+All three integrate with the space's norm_basis: the (p+4)-point rule and
+basis tables, built once per space and shared read-only."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import panel_basis
 from .exceptions import (DegenerateAlignmentError, InsufficientDataError,
                          InvalidArgumentError)
 from .quadrature import sample
@@ -29,14 +31,14 @@ class ErrorRecord:
 
 def h1_semi_error(uh, space, exact):
     """sqrt(int (u' - u_h')^2) with interface-split quadrature."""
-    q = panel_basis(space, space.p + 4)
+    q = space.norm_basis
     diff = sample(exact.deriv, q.x) - q.combine(uh, 1)
     return np.sqrt(np.sum(q.w * diff ** 2))
 
 
 def l2_error(uh, space, exact):
     """L2 norm of u - u_h with interface-split quadrature."""
-    q = panel_basis(space, space.p + 4)
+    q = space.norm_basis
     diff = sample(exact.value, q.x) - q.combine(uh)
     return np.sqrt(np.sum(q.w * diff ** 2))
 
@@ -44,7 +46,7 @@ def l2_error(uh, space, exact):
 def align_eigenfunction(uh, space, exact):
     """Flip the sign of uh, if needed, so its L2 inner product with the
     exact eigenfunction is positive."""
-    q = panel_basis(space, space.p + 4)
+    q = space.norm_basis
     inner = np.sum(q.w * q.combine(uh) * sample(exact.value, q.x))
     if abs(inner) < 0.1:
         raise DegenerateAlignmentError(

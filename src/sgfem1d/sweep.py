@@ -21,7 +21,6 @@ from .mesh import build_uniform_mesh
 
 # named coefficient configurations used throughout the experiments
 CASES = {
-    "case1": {"gamma": 1.0 / 3.0, "eta": 1.0},
     "case2": {"gamma": 1.0 / 3.0, "eta": 4.0},
     "case3": {"gamma": 1.0 / np.pi, "eta": float(np.e) ** 2},
 }

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from sgfem1d import densela, sweep
 from sgfem1d.cli import main
-from sgfem1d.exceptions import NotPositiveDefiniteError
+from sgfem1d.exceptions import InvalidArgumentError, NotPositiveDefiniteError
 
 
 def test_oracle_output(capsys):
@@ -207,9 +207,10 @@ def test_eigensolver_failure_exits_3_and_names_the_cell(monkeypatch, capsys):
                                   np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(densela, "eigsh", fail)
-    assert main(["eigen", "--p", "1", "--N", "10,20,40"]) == 3
+    # from N = 40 on, p = 1 cells are large enough for ARPACK
+    assert main(["eigen", "--p", "1", "--N", "40,80,160"]) == 3
     err = capsys.readouterr().err
-    assert "No convergence" in err and "(p=1, N=10, FEM)" in err
+    assert "No convergence" in err and "(p=1, N=40, FEM)" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,6 +236,16 @@ def test_non_finite_cond_coefficient_is_numerical_failure(eta, capsys):
     # used to exit 2 with "matrix must be symmetric" after RuntimeWarnings
     assert main(["cond", "--eta", eta]) == 3
     assert "not positive and finite" in capsys.readouterr().err
+
+
+def test_case1_is_not_a_case(tmp_path, capsys):
+    # case1 (gamma = 1/3, eta = 1) was dropped from sweep.CASES
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ncase = case1\n")
+    with pytest.raises(InvalidArgumentError, match="unknown case 'case1'"):
+        sweep.load_config(str(cfg))
+    assert main(["eigen", "--config", str(cfg)]) == 2
+    assert "case1" in capsys.readouterr().err
 
 
 def test_config_case_conflicts_with_gamma(tmp_path, capsys):

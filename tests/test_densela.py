@@ -170,6 +170,13 @@ def _assemble(p, N, gamma, eta, enrich):
 @given(cell=cells())
 @example(cell=(3, 160, 1.0 / np.pi, np.e ** 2, True))  # case3, SGFEM
 @example(cell=(4, 17, 0.68, 4.0, True))  # nearly dependent enriched basis
+# nearly dependent bases with a thin residual margin: k = n = 8, and cells
+# whose Lanczos residual (n = 11) or dense eigh(M, K) residual (n = 8) was
+# above 1e-9
+@example(cell=(3, 2, 0.9472, 5.378, True))
+@example(cell=(4, 2, 0.0546875, 3.0, True))
+@example(cell=(4, 2, 0.05, 5.5859375, True))
+@example(cell=(3, 2, 0.95, 15.77, True))
 def test_banded_matches_dense_references(cell):
     _, system = _assemble(*cell)
     K, M, F = system.K, system.M, system.F
@@ -268,13 +275,30 @@ def test_results_are_reproducible(small_sgfem_system):
 @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3)
                                   for k in sorted({0, 1, n - 1, n})])
 def test_generalized_eigs_tiny_systems(n, k):
-    # the sizes at ARPACK's limits: it needs 0 < k < n
+    # the sizes at ARPACK's limits (it needs 0 < k < n), here dense
     K, M = _random_spd(n, 40 + n), _random_spd(n, 50 + n, shift=2.0)
     sol = generalized_eigs(K, M, k)
     want = np.sort(1.0 / scipy.linalg.eigh(M, K, eigvals_only=True))[:k]
     assert sol.values.shape == (k,) and sol.vectors.shape == (n, k)
     np.testing.assert_allclose(sol.values, want, rtol=1e-10)
     assert np.all(np.diff(sol.values) >= 0.0)
+    V = sol.vectors
+    np.testing.assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-12)
+    assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
+
+
+@pytest.mark.parametrize("n, k", [(20, 8), (21, 8), (41, 20), (42, 20)])
+def test_generalized_eigs_on_both_sides_of_the_dense_switch(monkeypatch, n, k):
+    # n <= max(2k + 1, 20) takes the dense pencil, a larger n ARPACK
+    K, M = _random_spd(n, 80 + n), _random_spd(n, 90 + n, shift=2.0)
+    calls = []
+    eigsh = densela.eigsh
+    monkeypatch.setattr(densela, "eigsh", lambda *args, **kwargs: calls.append(
+        1) or eigsh(*args, **kwargs))
+    sol = generalized_eigs(K, M, k)
+    assert len(calls) == (n > max(2 * k + 1, 20))
+    want = np.sort(1.0 / scipy.linalg.eigh(M, K, eigvals_only=True))[:k]
+    np.testing.assert_allclose(sol.values, want, rtol=1e-10)
     V = sol.vectors
     np.testing.assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-12)
     assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
@@ -294,7 +318,8 @@ def test_arpack_failure_is_a_convergence_failure(monkeypatch):
                                   np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(densela, "eigsh", fail)
-    K, M = _random_spd(6, 70), _random_spd(6, 71, shift=2.0)
+    # n = 30 > 2k + 1 and > 20: ARPACK's branch (a smaller n goes dense)
+    K, M = _random_spd(30, 70), _random_spd(30, 71, shift=2.0)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):
         generalized_eigs(K, M, 2)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):

@@ -1,15 +1,24 @@
 """Error norms, eigenfunction alignment, convergence-rate fitting."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from sgfem1d import (DofVector, ErrorRecord, align_eigenfunction,
+import sgfem1d.assembly
+import sgfem1d.basis
+from sgfem1d import (DofVector, ErrorRecord, InterfaceProblem,
+                     align_eigenfunction, assemble,
                      build_interface_interpolant, build_space,
-                     build_uniform_mesh, fit_rate, h1_semi_error, l2_error,
-                     manufactured_source, relative_eigenvalue_error)
+                     build_uniform_mesh, exact_eigenfunction, fit_rate,
+                     generalized_eigs, h1_semi_error, l2_error,
+                     manufactured_source, relative_eigenvalue_error,
+                     solve_matching_system)
 from sgfem1d.errors import MACHINE_FLOOR
 from sgfem1d.exceptions import (DegenerateAlignmentError,
                                 InsufficientDataError, InvalidArgumentError)
+from sgfem1d.quadrature import sample
 
 
 def _zero_dofs(space):
@@ -77,6 +86,101 @@ def test_alignment_rejects_near_orthogonal_function():
     space = build_space(mesh, 2)
     with pytest.raises(DegenerateAlignmentError):
         align_eigenfunction(_zero_dofs(space), space, u)
+
+
+# ---------------------------------------------------------------------------
+# The norm basis: one (p+4)-point rule per space
+
+def _eigen_cell(p=2, N=20, gamma=1.0 / 3.0, eta=4.0):
+    """A case2 SGFEM space, its eigenvectors 1, 4, 8 as DofVectors and the
+    exact eigenfunctions."""
+    space = build_space(build_uniform_mesh(N, gamma), p)
+    system = assemble(space, InterfaceProblem(gamma=gamma, kappa0=1.0,
+                                              kappa1=eta))
+    V = generalized_eigs(system.K, system.M, 8).vectors
+    pairs = solve_matching_system(gamma, eta, 8)
+    cells = [(DofVector(V[:space.n_fem, i - 1], V[space.n_fem:, i - 1]),
+              exact_eigenfunction(pairs[i - 1])) for i in (1, 4, 8)]
+    return space, cells
+
+
+def _norms(space, cells):
+    out = []
+    for uh, exact in cells:
+        uh = align_eigenfunction(uh, space, exact)
+        out += [h1_semi_error(uh, space, exact), l2_error(uh, space, exact)]
+    return out
+
+
+@pytest.fixture
+def rules_built(monkeypatch):
+    """The point counts of every panel_basis call, from the basis module
+    (the norm basis) and from assembly's own import."""
+    built, real = [], sgfem1d.basis.panel_basis
+
+    def recorder(space, n):
+        built.append(n)
+        return real(space, n)
+
+    monkeypatch.setattr(sgfem1d.basis, "panel_basis", recorder)
+    monkeypatch.setattr(sgfem1d.assembly, "panel_basis", recorder)
+    return built
+
+
+def test_norm_rule_is_built_once_per_space(rules_built):
+    space, cells = _eigen_cell()
+    rules_built.clear()
+    _norms(space, cells)
+    _norms(space, cells)
+    assert rules_built == [space.p + 4]
+
+
+def test_assembly_rules_are_built_on_every_call(rules_built):
+    space, _ = _eigen_cell()
+    prob = InterfaceProblem(gamma=space.mesh.gamma, kappa0=1.0, kappa1=4.0,
+                            source=lambda x: 1.0 + x)
+    rules_built.clear()
+    assemble(space, prob)
+    assemble(space, prob)
+    assert rules_built == [space.p + 6, space.p + 2] * 2
+
+
+def test_norm_basis_is_read_only():
+    space, _ = _eigen_cell()
+    q = space.norm_basis
+    for a in (q.x, q.w, q.rows, q.vals, q.ders):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def test_norm_basis_is_per_space():
+    mesh = build_uniform_mesh(20, 1.0 / 3.0)
+    a, b = build_space(mesh, 2), build_space(mesh, 2)
+    assert a == b
+    assert a.norm_basis is not b.norm_basis
+    assert a.norm_basis is a.norm_basis
+
+
+def test_norm_basis_is_freed_with_its_space():
+    space, _ = _eigen_cell()
+    refs = weakref.ref(space), weakref.ref(space.norm_basis.vals)
+    del space
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_norms_match_a_fresh_rule_bit_for_bit():
+    space, cells = _eigen_cell(p=3, N=40)
+    fresh = sgfem1d.basis.panel_basis(space, space.p + 4)
+    want = []
+    for uh, exact in cells:
+        inner = np.sum(fresh.w * fresh.combine(uh)
+                       * sample(exact.value, fresh.x))
+        uh = uh if inner > 0.0 else uh.scaled(-1.0)
+        for f, d in ((exact.deriv, 1), (exact.value, 0)):
+            diff = sample(f, fresh.x) - fresh.combine(uh, d)
+            want.append(np.sqrt(np.sum(fresh.w * diff ** 2)))
+    assert _norms(space, cells) == want
 
 
 def test_relative_eigenvalue_error():
