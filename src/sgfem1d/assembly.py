@@ -5,7 +5,8 @@ All integrals use panel-wise Gauss quadrature split at the interface
 each panel; p+2 points per panel integrate the enrichment products
 exactly.  The element matrices of all panels come from one contraction
 and are summed by one scatter straight into LAPACK lower band storage, in
-the row order the solver factors in: O(ndof) memory, no dense matrix.
+the row order the solver factors in, held as densela.BandMatrix objects:
+O(ndof) memory, and a dense matrix only where np.asarray asks for one.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import panel_basis
-from .densela import _band_form
+from .densela import BandMatrix, _band_form
 from .exceptions import CoefficientNotPositiveError, InvalidArgumentError
 from .quadrature import sample
 
@@ -36,46 +37,27 @@ class InterfaceProblem:
         return np.where(x <= self.gamma, k0, k1)
 
 
-class _BandView(np.ndarray):
-    """A dense matrix that carries its lower band form to densela."""
-
-    band = None  # (order, ab); slices, products and copies carry none
-
-
-def _dense(order, ab):
-    """Read-only dense matrix of the lower band ab in the row order ``order``
-    (new position -> row), carrying both: zeros plus a scatter of the band."""
-    n = len(order)
-    A = np.zeros((n, n)).view(_BandView)
-    for d in range(len(ab)):  # band row d holds A[order[j + d], order[j]]
-        A[order[d:], order[:n - d]] = A[order[:n - d], order[d:]] = ab[d, :n - d]
-    A.band = (order, ab)
-    for a in (A, ab):
-        a.setflags(write=False)
-    return A
-
-
 class BlockSystem:
     """Assembled stiffness K, mass M and, for a source problem, load F
     (else None), read-only, FEM rows first and enrichment rows after.  K and
-    M are lower bands in the solver's order (M's built by ``mass`` on first
-    read: a source problem needs only K and F); ``.K`` and ``.M`` are dense
-    views of them, built on first read, that carry the bands to densela.
-    The 2x2 blocks K_FF..M_EE and F_F, F_E are views into them."""
+    M are densela.BandMatrix objects over lower bands in the solver's order
+    (M's built by ``mass`` on first read: a source problem needs only K and
+    F).  The 2x2 blocks K_FF..M_EE are views into the dense np.asarray(K)
+    and np.asarray(M); F_F and F_E are views into F."""
 
     def __init__(self, order, kb, mass, F, n_fem):
         if F is not None:
             F.setflags(write=False)
         self._order, self._F, self.n_fem = order, F, n_fem
-        self._bands, self._dense = {"K": lambda: kb, "M": mass}, {}
+        self._bands, self._mats = {"K": lambda: kb, "M": mass}, {}
 
-    def _view(self, name):
-        if name not in self._dense:
-            self._dense[name] = _dense(self._order, self._bands.pop(name)())
-        return self._dense[name]
+    def _matrix(self, name):
+        if name not in self._mats:
+            self._mats[name] = BandMatrix(self._order, self._bands.pop(name)())
+        return self._mats[name]
 
-    K = property(lambda self: self._view("K"))
-    M = property(lambda self: self._view("M"))
+    K = property(lambda self: self._matrix("K"))
+    M = property(lambda self: self._matrix("M"))
     F = property(lambda self: self._F)
     K_FF = property(lambda self: self.K[:self.n_fem, :self.n_fem])
     K_FE = property(lambda self: self.K[:self.n_fem, self.n_fem:])

@@ -105,13 +105,11 @@ def build_space(mesh, p, enrich=True):
     if p < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {p}")
     n_fem = p * mesh.N - 1
-    if enrich and not mesh.fitting:
-        cand = np.arange((mesh.r - 1) * p, mesh.r * p + 1)
-        rset = tuple(int(g) for g in cand if 1 <= g <= n_fem)
-        return EnrichedSpace(p=p, mesh=mesh, n_fem=n_fem, enriched_set=rset,
-                             n_enr=len(rset), enriched=True)
-    return EnrichedSpace(p=p, mesh=mesh, n_fem=n_fem, enriched_set=(),
-                         n_enr=0, enriched=False)
+    enriched = bool(enrich) and not mesh.fitting
+    cand = np.arange((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
+    rset = tuple(int(g) for g in cand if 1 <= g <= n_fem)
+    return EnrichedSpace(p=p, mesh=mesh, n_fem=n_fem, enriched_set=rset,
+                         n_enr=len(rset), enriched=enriched)
 
 
 def eval_fem_basis(space, j, x, deriv=0):

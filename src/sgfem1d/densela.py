@@ -1,29 +1,31 @@
 """Symmetric linear algebra in LAPACK band storage: SPD solve, the smallest
 generalized eigenpairs, scaled condition numbers.
 
-The matrices come in dense and are banded except for the enrichment rows,
-which sit at the end.  Rows ordered by their first nonzero column (stably)
-put every enrichment row next to its interface element: half-bandwidth at
-most 2p+1 for SGFEM, p for FEM.  Assembled matrices carry that order and
-their bands; other input is scanned for its pattern, on which symmetry is
-checked.  K is factored by LAPACK's banded Cholesky (dpbtrf).
+The matrices are banded except for the enrichment rows, which sit at the
+end.  Rows ordered by their first nonzero column (stably) put every
+enrichment row next to its interface element: half-bandwidth at most 2p+1
+for SGFEM, p for FEM.  A BandMatrix (an assembled system's K or M) holds
+that order and its band; dense input is scanned for its pattern, on which
+symmetry is checked.  K is factored by LAPACK's banded Cholesky (dpbtrf).
 
 Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 (scipy's eigsh) in standard mode, as the largest of one symmetric band
 operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
 mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
 operator K^-1 M, applied by two triangular band solves (dtbsv) on the
-Cholesky factor around a band product (dsbmv) by M.  Pencils too small
-for a Lanczos basis smaller than R^n go to a dense solver.  The scaled
-condition number takes its extremes from dsbmv and from dpbtrs.
+Cholesky factor around a band product by M.  Pencils too small for a
+Lanczos basis smaller than R^n go to a dense solver.  The scaled condition
+number takes its extremes from a band product and from dpbtrs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dsbmv, dtbsv
+from scipy.sparse import dia_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .exceptions import (ConvergenceFailureError, InvalidArgumentError,
@@ -38,20 +40,73 @@ class EigenSolution:
     vectors: np.ndarray
 
 
-def _square(A):
+def _product(ab):
+    """x -> A x for the symmetric A of the lower band ab and x of shape (n,),
+    by dsbmv, or (n, m), by one scipy DIA product for all the columns."""
+    kd, n = len(ab) - 1, ab.shape[1]
+    data = np.vstack([ab, np.zeros((kd, n))])  # offsets 0, -1, .., -kd, 1, .., kd
+    for d in range(1, kd + 1):  # upper diagonal d: the lower one shifted right
+        data[kd + d, d:] = ab[d, :n - d]
+    block = dia_array((data, np.r_[:-kd - 1:-1, 1:kd + 1]), shape=(n, n))
+    ab = np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
+    return lambda x: dsbmv(kd, 1.0, ab, x, lower=1) if x.ndim == 1 else block @ x
+
+
+class BandMatrix:
+    """Read-only symmetric n x n matrix held as its lower band ab in the row
+    order ``order`` (new position -> row): band = (order, ab).  A @ x and
+    x @ A are band products in natural row order; np.asarray(A) builds the
+    dense matrix once and keeps it, read-only, and indexing reads it."""
+
+    __array_priority__ = 1000  # x @ A defers to A.__rmatmul__
+    ndim, dtype = 2, np.dtype(float)
+    T = property(lambda self: self)
+    _op = cached_property(lambda self: _product(self.band[1]))
+
+    def __init__(self, order, ab):
+        ab.setflags(write=False)
+        self.band, self.shape = (order, ab), (len(order),) * 2
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __matmul__(self, x):
+        order, x = self.band[0], np.asarray(x, dtype=float)
+        if x.shape[:1] != self.shape[1:]:
+            raise ValueError(f"matmul: {self.shape} @ {x.shape}")
+        y = np.empty(x.shape)
+        y[order] = self._op(x[order])
+        return y
+
+    def __rmatmul__(self, x):
+        return (self @ np.asarray(x).T).T
+
+    @cached_property
+    def _dense(self):
+        (order, ab), n = self.band, len(self)
+        A = np.zeros((n, n))
+        for d in range(len(ab)):  # band row d holds A[order[j + d], order[j]]
+            A[order[d:], order[:n - d]] = A[order[:n - d], order[d:]] = ab[d, :n - d]
+        A.setflags(write=False)
+        return A
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._dense, dtype=dtype, copy=copy)
+
+    def __getitem__(self, index):
+        return np.asarray(self)[index]
+
+
+def _symmetric(A, n=None):
+    """A as a float square (n x n, if n is given) array if it is symmetric on
+    its nonzeros, to 1e-12 of each entry plus 1e-12 of the largest (at least
+    1e-12); else raises."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("matrix must be square")
-    return A
-
-
-def _symmetric(A, n):
-    """A as a float n x n array if symmetric on its nonzeros, to 1e-12 of
-    each entry plus 1e-12 of the largest (at least 1e-12); else raises."""
-    A = _square(A)
-    if A.shape[0] != n:
+    if n is not None and len(A) != n:
         raise InvalidArgumentError(f"matrix must be {n}x{n}, got {A.shape}")
-    flat = A.ravel()
+    flat, n = A.ravel(), len(A)
     idx = np.flatnonzero(flat)
     rows, cols = np.divmod(idx, n)
     vals, mirror = flat[idx], flat[cols * n + rows]
@@ -88,14 +143,14 @@ def _band_form(n, rows, cols):
 
 def _banded(*mats):
     """_band_form of the square symmetric matrices' union pattern: the one
-    they carry (as an assembled system's do), else found by a scan."""
+    BandMatrix objects of one order hold, else found by a dense scan."""
     carried = [getattr(A, "band", None) for A in mats]
     if all(b is not None and b[0] is carried[0][0] for b in carried):
         return carried[0][0], [ab for _, ab in carried]
-    n = _square(mats[0]).shape[0]
-    mats = [_symmetric(A, n) for A in mats]
+    first = _symmetric(mats[0])
+    mats = [first] + [_symmetric(A, len(first)) for A in mats[1:]]
     rows, cols = np.nonzero(np.any([A != 0.0 for A in mats], axis=0))
-    order, band = _band_form(n, rows, cols)
+    order, band = _band_form(len(first), rows, cols)
     return order, [band(A[rows, cols]) for A in mats]
 
 
@@ -121,12 +176,6 @@ def _lanczos(apply, n, k=1):
     return vals[i], vecs[:, i]
 
 
-def _product(ab):
-    """x -> A x for the lower band ab of A."""
-    ab = np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
-    return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1)
-
-
 def solve_spd(K, F):
     """Solve K U = F for SPD K by banded Cholesky."""
     order, (ab,) = _banded(K)
@@ -143,9 +192,9 @@ def generalized_eigs(K, M, k):
     """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
     the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
     the band factor C, refined by one inverse-iteration and Rayleigh-Ritz
-    step, or, for n <= max(2k + 1, 20), from the dense pencil.  Eigenvectors
-    are M-orthonormal, and the entry of largest magnitude of each is
-    positive."""
+    step, or, for n <= max(2k + 1, 20), from the dense pencil of the bands.
+    Eigenvectors are M-orthonormal, and the entry of largest magnitude of
+    each is positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -157,22 +206,23 @@ def generalized_eigs(K, M, k):
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
     if k == 0:
         return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
+    m, kd = _product(mb), len(c) - 1
     if n <= max(2 * k + 1, 20):  # a Lanczos basis would span R^n
-        vals, V = scipy.linalg.eigh(K, M, subset_by_index=[0, k - 1])
+        eye = np.eye(n)
+        vals, V = scipy.linalg.eigh(_product(kb)(eye), m(eye),
+                                    subset_by_index=[0, k - 1])
     else:
-        m, kd = _product(mb), len(c) - 1
         Y = _lanczos(lambda y: dtbsv(kd, c, m(dtbsv(  # C^-1 M C^-T y
             kd, c, y, lower=1, trans=1)), lower=1), n, k)[1]
         # One inverse-iteration step, W = K^-1 M C^-T Y, purges the Ritz
         # vectors of the huge lambda of a nearly dependent basis, which the
         # residual amplifies; Rayleigh-Ritz in span(W) restores the pairs.
-        P = np.column_stack([m(x) for x in lapack.dtbtrs(
-            c, Y, uplo="L", trans="T")[0].T])
+        P = m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])
         W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
-        mu, U = scipy.linalg.eigh(
-            W.T @ np.column_stack([m(w) for w in W.T]), W.T @ P)
+        mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
         vals = 1.0 / mu[::-1]
-        V = (W @ U)[np.argsort(order), ::-1] / np.sqrt(mu[::-1])
+        V = (W @ U)[:, ::-1] / np.sqrt(mu[::-1])
+    V = V[np.argsort(order)]  # solver order -> natural
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
     return EigenSolution(values=vals, vectors=V)
 
@@ -184,8 +234,7 @@ def scaled_condition_number(A):
         raise NotPositiveDefiniteError("diagonal has nonpositive entries")
     s = 1.0 / np.sqrt(ab[0])
     # entry (d, j) of the band sits in row j + d (past the end: a zero)
-    rows = np.add.outer(np.arange(len(ab)), np.arange(len(s)))
-    ab = ab * s[np.minimum(rows, len(s) - 1)] * s
+    ab = ab * np.array([np.roll(s, -d) for d in range(len(ab))]) * s
     c = _factor(ab)
     if len(s) == 1:  # ARPACK needs n >= 2
         return 1.0

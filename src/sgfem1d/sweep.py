@@ -131,10 +131,9 @@ def _check_gaps(pairs, indices):
     for idx in indices:
         i = idx - 1
         for j in (i - 1, i + 1):
-            if 0 <= j < len(lam):
-                if abs(lam[i] - lam[j]) <= 0.01 * lam[i]:
-                    raise EigenvalueMismatchError(
-                        f"exact eigenvalues {idx} and {j + 1} closer than 1%")
+            if 0 <= j < len(lam) and abs(lam[i] - lam[j]) <= 0.01 * lam[i]:
+                raise EigenvalueMismatchError(
+                    f"exact eigenvalues {idx} and {j + 1} closer than 1%")
 
 
 def run_eigen_sweep(cfg):
@@ -217,41 +216,31 @@ def report_csv(report):
 
 def report_markdown(report):
     cfg = report.metadata["config"]
-    quantities = list(dict.fromkeys(r.quantity for r in report.rows))
     Ns = sorted({r.N for r in report.rows})
     lookup = {(r.quantity, r.method, r.p, r.N): r.value for r in report.rows}
+    cols = [(m, p) for p in cfg.degrees for m in cfg.methods]
+
+    def row(head, cells, fmt):
+        return f"| {head} | " + " | ".join(
+            "-" if v is None else fmt(v) for v in cells) + " |"
+
     lines = []
-    for q in quantities:
-        cols = [(m, p) for p in cfg.degrees for m in cfg.methods]
-        lines.append(f"### {q}")
-        lines.append("")
-        header = "| N | " + " | ".join(f"{m} p={p}" for m, p in cols) + " |"
-        lines.append(header)
-        lines.append("|" + "---|" * (len(cols) + 1))
-        for N in Ns:
-            cells = []
-            for m, p in cols:
-                v = lookup.get((q, m, p, N))
-                cells.append(_sci(v) if v is not None else "-")
-            lines.append(f"| {N} | " + " | ".join(cells) + " |")
-        cells = []
-        for m, p in cols:
-            rate = report.rates.get((p, m, q))
-            cells.append(f"{rate:.2f}" if rate is not None else "-")
-        lines.append("| rate | " + " | ".join(cells) + " |")
-        lines.append("")
+    for q in dict.fromkeys(r.quantity for r in report.rows):
+        lines += [f"### {q}", "", row("N", (f"{m} p={p}" for m, p in cols), str),
+                  "|" + "---|" * (len(cols) + 1)]
+        lines += [row(N, (lookup.get((q, m, p, N)) for m, p in cols), _sci)
+                  for N in Ns]
+        lines += [row("rate", (report.rates.get((p, m, q)) for m, p in cols),
+                      "{:.2f}".format), ""]
     return "\n".join(lines)
 
 
 def emit_report(report, fmt, path):
     """Write a report as CSV or markdown to the file path, or to stdout
     when path is None."""
-    if fmt == "csv":
-        text = report_csv(report)
-    elif fmt == "markdown":
-        text = report_markdown(report)
-    else:
+    if fmt not in ("csv", "markdown"):
         raise InvalidArgumentError(f"unknown format {fmt!r}")
+    text = (report_csv if fmt == "csv" else report_markdown)(report)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -261,12 +250,9 @@ def emit_report(report, fmt, path):
 
 def parse_csv(text):
     """Inverse of report_csv for the record rows."""
-    rows = []
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        problem, method, p, N, quantity, value = line.split(",")
-        rows.append(ErrorRecord(int(N), int(p), method, quantity, float(value)))
-    return rows
+    rows = (line.split(",") for line in text.strip().splitlines()[1:])
+    return [ErrorRecord(int(N), int(p), method, quantity, float(value))
+            for _, method, p, N, quantity, value in rows]
 
 
 def comma_list(text, item=int):

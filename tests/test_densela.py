@@ -7,9 +7,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgfem1d import (InterfaceProblem, assemble, build_space,
-                     build_uniform_mesh, generalized_eigs,
-                     scaled_condition_number, solve_spd)
+from sgfem1d import (InterfaceProblem, SweepConfig, assemble, build_space,
+                     build_uniform_mesh, generalized_eigs, run_cond_sweep,
+                     run_eigen_sweep, run_source_sweep, scaled_condition_number,
+                     solve_spd)
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from sgfem1d import densela
@@ -388,9 +389,10 @@ def test_assembled_band_equals_pattern_scan(cell):
 def test_derived_arrays_carry_no_band(small_sgfem_system):
     _, system = small_sgfem_system
     K = system.K
-    assert K.band is not None and not K.flags.writeable
+    assert K.band is not None and not np.asarray(K).flags.writeable
     x = np.ones(len(K))
-    for A in (K.T, K[:5, :5], K[::-1], K @ x, K @ K, 2.0 * K, K.copy(),
+    D = np.asarray(K)
+    for A in (D.T, K[:5, :5], K[::-1], K @ x, K @ K, 2.0 * D, D.copy(),
               np.array(K)):
         assert getattr(A, "band", None) is None
 
@@ -410,3 +412,45 @@ def test_matrices_of_two_systems_take_the_pattern_path(monkeypatch):
     assert len(scans) == 1
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.vectors, want.vectors)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("enrich", [False, True])
+def test_band_product_matches_the_dense_matrix(p, enrich):
+    _, system = _assemble(p, 12, 0.31, 4.0, enrich)
+    rng = np.random.default_rng(p)
+    for A in (system.K, system.M):
+        D = np.asarray(A)
+        assert A.T is A and len(A) == D.shape[0]
+        assert (A.shape, A.ndim, A.dtype) == (D.shape, 2, D.dtype)
+        for x in (rng.standard_normal(len(A)), rng.standard_normal((len(A), 8))):
+            # rounding of a product is relative to |D| |x|, row by row
+            bound = 1e-13 * (np.abs(D) @ np.abs(x))
+            assert np.all(np.abs(A @ x - D @ x) <= bound)
+            assert np.all(np.abs(x.T @ A - x.T @ D) <= bound.T)
+
+
+def test_library_calls_never_convert_a_band_matrix(monkeypatch):
+    conversions = []
+    to_array = densela.BandMatrix.__array__
+
+    def counted(A, *args, **kwargs):
+        conversions.append(A)
+        return to_array(A, *args, **kwargs)
+
+    monkeypatch.setattr(densela.BandMatrix, "__array__", counted)
+    for N in (2, 20):  # the dense branch (ndof 11) and the ARPACK branch (83)
+        _, system = _assemble(4, N, 0.31, 4.0, True)
+        solve_spd(system.K, system.F)
+        generalized_eigs(system.K, system.M, 3)
+        scaled_condition_number(system.K)
+        X = np.ones((len(system.M), 2))
+        X.T @ system.M @ X
+    run_source_sweep(SweepConfig(problem="source", degrees=(1, 3), Ns=(10, 20, 40)))
+    # the p=1 cells of ndof <= 20 take the dense branch, the others ARPACK
+    run_eigen_sweep(SweepConfig(problem="eigen", case="case2", degrees=(1, 3),
+                                Ns=(10, 20, 40), outputs=("eigenfunctions",)))
+    run_cond_sweep(2, (10, 20, 40))
+    assert conversions == []
+    np.asarray(system.K)  # the counter counts
+    assert len(conversions) == 1

@@ -1,5 +1,7 @@
 """Sweep driver, report serialization, config parsing, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,19 @@ def test_cell_error_is_reraised_with_the_cell_attached(monkeypatch):
         run_source_sweep(cfg)
     assert info.value is err and info.value.code == 7
     assert info.value.__notes__ == ["(p=2, N=10, FEM)"]
+
+
+@pytest.mark.parametrize("problem", ["source", "eigen"])
+def test_sweep_memory_is_linear_in_ndof(problem):
+    # p=3, N=4000: ndof 12003, so one dense K would take 1.15 GB
+    run = run_source_sweep if problem == "source" else run_eigen_sweep
+    extra = {"case": "case2", "outputs": ("eigenfunctions",)}
+    cfg = SweepConfig(problem=problem, degrees=(3,), Ns=(4000,), methods=("SGFEM",),
+                      **(extra if problem == "eigen" else {}))
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
