@@ -3,8 +3,9 @@
 All integrals use panel-wise Gauss quadrature split at the interface
 (basis.panel_basis), so every integrand is a (piecewise) polynomial on
 each panel; p+2 points per panel integrate the enrichment products
-exactly.  The element matrices of all panels come from one contraction
-and are summed by one scatter straight into LAPACK lower band storage, in
+exactly.  The element matrices come from one contraction per run of
+panels (each at the width of the functions living on it), joined in panel
+order and summed by one scatter straight into LAPACK lower band storage, in
 the row order the solver factors in, held as densela.BandMatrix objects:
 O(ndof) memory, and a dense matrix only where np.asarray asks for one.
 """
@@ -77,6 +78,11 @@ def _gram(f, weight):
     return 0.5 * (E + E.transpose(0, 2, 1))
 
 
+def _flat(arrays):
+    """The entries of the arrays, in order, as one flat array."""
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def assemble(space, prob):
     """Assemble the block stiffness/mass system (and load if a source is
     present); the mass matrix is built when it is first read."""
@@ -87,15 +93,21 @@ def assemble(space, prob):
     if prob.source is not None:
         # the source term need not be polynomial, so the load uses a finer rule
         q = panel_basis(space, space.p + 6)
-        load = np.einsum("pfn,pn->pf", q.vals, q.w * sample(prob.source, q.x))
-        F = np.bincount(q.rows[q.rows >= 0], load[q.rows >= 0], minlength=ndof)
+        g = q.w * sample(prob.source, q.x)
+        rows = _flat(r for _, r, _, _ in q.runs) + 1  # bin 0 takes row -1
+        load = _flat(np.einsum("pfn,pn->pf", v, g[i]) for i, _, v, _ in q.runs)
+        F = np.bincount(rows, load, minlength=ndof + 1)[1:]
     q = panel_basis(space, space.p + 2)
     kap = sample(prob.kappa, q.x)
     bad = ~((kap > 0.0) & (kap < np.inf))
     if bad.any():
         raise CoefficientNotPositiveError(
             f"kappa = {kap[bad][0]} not positive and finite at x={q.x[bad][0]:.6g}")
-    # K and M couple the rows that share a panel
-    order, band = _band_form(ndof, q.rows[:, :, None], q.rows[:, None, :])
-    return BlockSystem(order, band(_gram(q.ders, kap * q.w)),
-                       lambda: band(_gram(q.vals, q.w)), F, space.n_fem)
+    # K and M couple the rows that share a panel: every run's element
+    # matrices, in panel order
+    rows = [np.repeat(r[:, :, None], r.shape[1], 2) for _, r, _, _ in q.runs]
+    order, band = _band_form(ndof, _flat(rows), _flat(r.transpose(0, 2, 1) for r in rows))
+    kw = kap * q.w
+    return BlockSystem(order, band(_flat(_gram(d, kw[i]) for i, _, _, d in q.runs)),
+                       lambda: band(_flat(_gram(v, q.w[i]) for i, _, v, _ in q.runs)),
+                       F, space.n_fem)

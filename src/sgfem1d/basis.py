@@ -84,7 +84,7 @@ class EnrichedSpace:
         """The (p+4)-point PanelBasis of the error norms and the alignment,
         built on first use and shared, read-only, by every later call."""
         q = panel_basis(self, self.p + 4)
-        for a in (q.x, q.w, q.rows, q.vals, q.ders):
+        for a in (q.x, q.w, *(a for run in q.runs for a in run[1:])):
             a.setflags(write=False)
         return q
 
@@ -221,7 +221,6 @@ def build_interface_interpolant(u0, u1, space):
         return u0(x) if x < g else u1(x)
 
     uF = np.array([u(space.global_node_x(j)) for j in range(1, space.n_fem + 1)])
-    uE = np.zeros(space.n_enr)
 
     r = mesh.r
     a, b = mesh.element_bounds(r)
@@ -239,17 +238,11 @@ def build_interface_interpolant(u0, u1, space):
     tloc = np.linspace(0.0, 1.0, p + 1)
     q = np.polynomial.polynomial.polyval(tloc, alpha)
     # polynomial correction vanishes at the element endpoints; add it only at
-    # the interior nodes so neighbours stay untouched
-    dofs = space.element_dofs(r)
-    for i in range(1, p):
-        gidx = dofs[i]
-        if 1 <= gidx <= space.n_fem:
-            uF[gidx - 1] += q[i]
+    # the interior nodes (never on the boundary) so neighbours stay untouched
+    uF[space.element_dofs(r)[1:p] - 1] += q[1:p]
     # actual enrichment = h * reference enrichment, so coefficients shrink by h
     gb = np.polynomial.polynomial.polyval(tloc, beta) / h
-    for pos, gidx in enumerate(space.enriched_set):
-        i = gidx - (r - 1) * p
-        uE[pos] = gb[i]
+    uE = gb[np.array(space.enriched_set, dtype=int) - (r - 1) * p]
     return DofVector(u_F=uF, u_E=uE)
 
 
@@ -260,52 +253,53 @@ class PanelBasis:
 
     x, w : (panels, points) points and weights (w is None where the
         points are not a quadrature rule, as in eval_solution)
-    rows : (panels, functions) global row of each function slot, FEM rows
-        0..n_fem-1 first and enrichment rows after; -1 marks a slot that
-        holds no function on that panel (a Dirichlet boundary node, or an
-        enrichment slot off the interface element) and is to be dropped
-    vals, ders : (panels, functions, points) values and x-derivatives
+    runs : tuple of (index, rows, vals, ders), one per run of consecutive
+        panels with the same functions, in panel order: the element's p+1
+        Lagrange functions, and the n_enr enrichment functions after them on
+        the interface element's panels.  The slice index picks the run's
+        panels; rows (run panels, functions) holds global rows (FEM rows
+        first, -1 for a Dirichlet boundary node, to be dropped); vals, ders
+        (run panels, functions, points) are values and x-derivatives
     """
 
     x: np.ndarray
     w: np.ndarray
-    rows: np.ndarray
-    vals: np.ndarray
-    ders: np.ndarray
+    runs: tuple
 
     def combine(self, dofs, deriv=0):
         """The function with coefficients dofs (or its derivative) at every
         point, shape (panels, points)."""
         c = np.concatenate([dofs.u_F, dofs.u_E, [0.0]])  # row -1 picks 0
-        return np.einsum("pf,pfn->pn", c[self.rows],
-                         self.ders if deriv else self.vals)
+        return np.concatenate([np.einsum("pf,pfn->pn", c[rows], ders if deriv else vals)
+                               for _, rows, vals, ders in self.runs])
 
 
-def _basis_values(space, elements, t, which):
-    """(rows, vals, ders) as in PanelBasis for panels lying in the 1-based
-    elements, panel i at the reference points t[which[i]]."""
-    mesh, p, nf, ne = space.mesh, space.p, space.n_fem, space.n_enr
-    shape = (len(elements), p + 1 + ne, t.shape[1])
-    rows, vals, ders = np.full(shape[:2], -1), np.zeros(shape), np.zeros(shape)
+def _basis_runs(space, elements, t, which):
+    """PanelBasis.runs for panels lying in the ascending 1-based elements,
+    panel i at the reference points t[which[i]]: the runs before, in and
+    after the interface element."""
+    mesh, p, nf, r = space.mesh, space.p, space.n_fem, space.mesh.r
     g = (elements[:, None] - 1) * p + np.arange(p + 1)
-    rows[:, :p + 1] = np.where(g <= nf, g - 1, -1)
+    rows = np.where(g <= nf, g - 1, -1)
     lv, ld = _lagrange(p, t)
-    vals[:, :p + 1] = lv.transpose(1, 0, 2)[which]
     h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-    ders[:, :p + 1] = ld.transpose(1, 0, 2)[which] / h[:, None, None]
-    if ne:
-        # w = h * reference_enrichment, on the interface element only
-        on = elements == mesh.r
-        a, b = mesh.element_bounds(mesh.r)
-        nu = (mesh.gamma - a) / (b - a)
-        w = (b - a) * reference_enrichment(nu, t[which[on]])[:, None]
-        dw = reference_enrichment(nu, t[which[on]], 1)[:, None]
-        local = np.array(space.enriched_set) - (mesh.r - 1) * p
-        phi, dphi = vals[on][:, local], ders[on][:, local]
-        rows[on, p + 1:] = nf + np.arange(ne)
-        vals[on, p + 1:] = w * phi
-        ders[on, p + 1:] = dw * phi + w * dphi
-    return rows, vals, ders
+    vals, ders = lv.transpose(1, 0, 2)[which], ld.transpose(1, 0, 2)[which] / h[:, None, None]
+    if not space.n_enr:
+        return ((slice(None), rows, vals, ders),)
+    # w = h * reference_enrichment, on the interface element only
+    lo, hi = np.searchsorted(elements, (r, r + 1))
+    a, b = mesh.element_bounds(r)
+    nu, tk = (mesh.gamma - a) / (b - a), t[which[lo:hi]]
+    w = (b - a) * reference_enrichment(nu, tk)[:, None]
+    dw = reference_enrichment(nu, tk, 1)[:, None]
+    local = np.array(space.enriched_set) - (r - 1) * p
+    phi, dphi = vals[lo:hi, local], ders[lo:hi, local]
+    enr = np.tile(nf + np.arange(len(local)), (hi - lo, 1))
+    on = (slice(lo, hi), np.concatenate([rows[lo:hi], enr], 1),
+          np.concatenate([vals[lo:hi], w * phi], 1),
+          np.concatenate([ders[lo:hi], dw * phi + w * dphi], 1))
+    before, after = ((i, rows[i], vals[i], ders[i]) for i in (slice(0, lo), slice(hi, None)))
+    return tuple(run for run in (before, on, after) if len(run[1])) or (on,)
 
 
 def panel_basis(space, n):
@@ -324,7 +318,7 @@ def panel_basis(space, n):
     which = np.zeros(len(elements), dtype=int)
     if not mesh.fitting:
         which[mesh.r - 1:mesh.r + 1] = (1, 2)
-    return PanelBasis(x, w, *_basis_values(space, elements, t, which))
+    return PanelBasis(x, w, _basis_runs(space, elements, t, which))
 
 
 def eval_solution(space, dofs, x, deriv=0):
@@ -332,11 +326,12 @@ def eval_solution(space, dofs, x, deriv=0):
     point on a node belongs to the element on its left (x = 0 to the
     first); at gamma the derivative is the right limit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flat = x.ravel()[:, None]
+    o = np.argsort(x, axis=None)  # sorted points make at most three runs
+    flat = x.ravel()[o, None]
     nodes = space.mesh.nodes
     elements = locate(space.mesh, flat[:, 0])
     a, b = nodes[elements - 1, None], nodes[elements, None]
     t = (flat - a) / (b - a)
-    q = PanelBasis(flat, None, *_basis_values(space, elements, t,
-                                              np.arange(len(flat))))
-    return q.combine(dofs, deriv).reshape(x.shape)
+    q = PanelBasis(flat, None, _basis_runs(space, elements, t,
+                                           np.arange(len(flat))))
+    return q.combine(dofs, deriv)[np.argsort(o), 0].reshape(x.shape)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, solve_spd)
+from sgfem1d.errors import h1_semi_error
 from sgfem1d.exceptions import CoefficientNotPositiveError, InvalidArgumentError
 
 
@@ -71,9 +72,13 @@ def test_block_shapes(small_sgfem_system):
 def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     from sgfem1d import assembly
     calls = []
-    gram = assembly._gram
-    monkeypatch.setattr(assembly, "_gram",
-                        lambda f, w: calls.append(f.shape) or gram(f, w))
+    band_form = assembly._band_form
+
+    def counted(*args):
+        order, band = band_form(*args)
+        return order, lambda vals: calls.append(vals.shape) or band(vals)
+
+    monkeypatch.setattr(assembly, "_band_form", counted)
     _, _, prob = benchmark_problem
     sys_ = assemble(build_space(build_uniform_mesh(10, prob.gamma), 2), prob)
     assert len(calls) == 1  # K only: a source problem needs K and F
@@ -85,18 +90,34 @@ def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     assert len(calls) == 2
 
 
-def test_assembly_memory_is_linear_in_ndof(benchmark_problem):
-    # p=3, N=1000: ndof 3003, so one dense K would take 72 MB; the bands of
-    # half-bandwidth 7 take 0.2 MB
-    _, _, prob = benchmark_problem
-    space = build_space(build_uniform_mesh(1000, prob.gamma), 3)
+@pytest.mark.parametrize("N", [1000, 20000])
+def test_assembly_memory_is_linear_in_ndof(N, benchmark_problem):
+    # p=3: ndof 3N + 3, so one dense K would take 72 MB at N=1000; the
+    # bands of half-bandwidth 7 take 64 bytes per dof.  The panel tables
+    # carry the enrichment functions on the interface panels only, so the
+    # peak per dof does not grow with N.
+    u, _, prob = benchmark_problem
+    space = build_space(build_uniform_mesh(N, prob.gamma), 3)
+    ndof = space.n_fem + space.n_enr
     tracemalloc.start()
     try:
-        assemble(space, prob)
+        sys_ = assemble(space, prob)
+        sys_.M
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 850 * ndof
+    # the solve and the H1 norm on a fresh space (its norm basis built here)
+    space = build_space(build_uniform_mesh(N, prob.gamma), 3)
+    sys_ = assemble(space, prob)
+    tracemalloc.start()
+    try:
+        U = solve_spd(sys_.K, sys_.F)
+        h1_semi_error(DofVector(U[:space.n_fem], U[space.n_fem:]), space, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 420 * ndof
 
 
 def test_mass_matrix_total_is_function_inner_products():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
-from sgfem1d.basis import lagrange_all, reference_enrichment
+from sgfem1d.basis import lagrange_all, panel_basis, reference_enrichment
 from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
                                 OutOfDomainError)
+from sgfem1d.quadrature import panels
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -292,16 +293,25 @@ def test_interpolant_requires_enriched_space():
         build_interface_interpolant(z, z, space)
 
 
-def test_eval_solution_single_basis_function():
+@pytest.mark.parametrize("p,j,xs", [
+    (2, 7, (0.31, 0.355, 0.39)),
+    # node 12 sits at x = 0.3, the left end of the interface element [0.3,
+    # 0.4]: points left of it and on both sides of gamma inside it
+    (4, 12, (0.25, 0.29, 0.3, 0.305, 0.32, 1.0 / 3.0, 0.34, 0.37, 0.395)),
+], ids=["p2", "p4"])
+def test_eval_solution_single_basis_function(p, j, xs):
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
-    space = build_space(mesh, 2)
-    j = 7
+    space = build_space(mesh, p)
     uF = np.zeros(space.n_fem)
     uF[j - 1] = 1.0
     dofs = DofVector(uF, np.zeros(space.n_enr))
-    for x in (0.31, 0.355, 0.39):
+    for x in xs:
         got = eval_solution(space, dofs, np.array([x]))[0]
         assert got == pytest.approx(eval_fem_basis(space, j, x), abs=1e-13)
+    # all points in one call: the interface element's and the others
+    np.testing.assert_allclose(
+        eval_solution(space, dofs, np.array(xs)),
+        [eval_fem_basis(space, j, x) for x in xs], rtol=0, atol=1e-13)
 
 
 def test_eval_solution_derivative_vs_finite_difference():
@@ -326,3 +336,29 @@ def test_eval_solution_outside_domain_raises():
     for x in (-1e-3, 1.0 + 1e-3):
         with pytest.raises(OutOfDomainError):
             eval_solution(space, dofs, np.array([0.5, x]))
+
+
+@pytest.mark.parametrize("p,N,gamma,enrich", [
+    (3, 10, 1.0 / 3.0, True), (2, 7, 0.05, True), (4, 5, 0.99, True),
+    (1, 2, 0.3, True), (2, 10, 1.0 / 3.0, False), (3, 6, 0.5, True)])
+def test_panel_tables_carry_enrichment_on_interface_panels_only(p, N, gamma,
+                                                                 enrich):
+    mesh = build_uniform_mesh(N, gamma)
+    space = build_space(mesh, p, enrich=enrich)
+    q = panel_basis(space, p + 2)
+    elements = panels(mesh)[0]
+    seen = []
+    for index, rows, vals, ders in q.runs:
+        e = elements[index]
+        on = space.n_enr > 0 and e[0] == mesh.r
+        width = p + 1 + space.n_enr * on
+        if space.n_enr:
+            assert np.all((e == mesh.r) == on)
+        assert rows.shape == (len(e), width)
+        assert vals.shape == ders.shape == (len(e), width, p + 2)
+        assert np.all(rows[:, p + 1:] == space.n_fem + np.arange(space.n_enr * on))
+        assert np.all(rows[:, :p + 1] < space.n_fem)
+        seen += list(np.arange(len(elements))[index])
+    assert seen == list(range(len(elements)))  # every panel once, in order
+    assert len(q.runs) == (1 if not space.n_enr else
+                           1 + (mesh.r > 1) + (mesh.r < N))
