@@ -74,7 +74,7 @@ def solve_matching_system(gamma, eta, count):
     By domain monotonicity (sines supported on one side only),
     omega1_n <= n pi min(1/(1 - gamma), 1/(rho gamma)), so the matching
     function is sampled in blocks up to that bound until `count` sign changes
-    are seen; these are refined by bisection and the amplitude d follows
+    are seen; these are refined by false position and the amplitude d follows
     from the matching relation with the better-conditioned denominator.
     """
     if not 0.0 < gamma < 1.0:
@@ -93,19 +93,23 @@ def solve_matching_system(gamma, eta, count):
         w = np.cumsum(np.append(w[-1], np.full(min(_SCAN_BLOCK, n - start), step)))
         neg = np.signbit(_matching_F(w, gamma, rho))
         lo = np.flatnonzero(neg[1:] != neg[:-1])
-        found += zip(w[lo], w[lo + 1], neg[lo])
+        found += zip(w[lo], w[lo + 1])
         if len(found) >= count:
             break
     if len(found) < count:
         raise ConvergenceFailureError(
             f"found {len(found)} of {count} matching roots below omega1 = {bound:.6g}"
             f" (gamma={gamma}, eta={eta})")
-    a, b, neg_a = map(np.array, zip(*found[:count]))
-    while (wide := b - a > 1e-14 * a).any():
-        m = 0.5 * (a + b)
-        left = np.signbit(_matching_F(m, gamma, rho)) == neg_a
-        a, b = np.where(wide & left, m, a), np.where(wide & ~left, m, b)
-    roots = 0.5 * (a + b)
+    # Illinois: secant steps in each bracket, F halved at an end kept twice
+    a, b = map(np.array, zip(*found[:count]))
+    fa, fb = _matching_F(a, gamma, rho), _matching_F(b, gamma, rho)
+    while (wide := (np.abs(b - a) > 2.0**-50 * b) & (fb != 0.0)).any():  # 4 ulp
+        x = np.where(wide, b - fb * (b - a) / (fb - fa), b)
+        fx = _matching_F(x, gamma, rho)
+        keep = np.signbit(fx) == np.signbit(fb)
+        a, fa = np.where(keep, a, b), np.where(keep, 0.5 * fa, fb)
+        b, fb = x, fx
+    roots = b
 
     t0, t1 = rho * roots * gamma, roots * (gamma - 1.0)
     big = np.abs(np.sin(t1)) >= np.abs(rho * np.cos(t1))

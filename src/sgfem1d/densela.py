@@ -13,9 +13,14 @@ Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
 mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
 operator K^-1 M, applied by two triangular band solves (dtbsv) on the
-Cholesky factor around a band product by M.  Pencils too small for a
-Lanczos basis smaller than R^n go to a dense solver.  The scaled condition
-number takes its extremes from a band product and from dpbtrs.
+Cholesky factor around a band product by M.  The scaled condition number
+takes its extremes from a band product and from dpbtrs.
+
+Lanczos stops at Ritz residuals of 1e-8 (ARPACK's tol; |theta - lambda| <=
+||r||), and generalized_eigs restores its pairs to rounding level: at k = 8
+that cut 35 operator applications to 27, moving eigenvalues <= 2.1e-14.
+Pencils with n <= 80 + 2k go to dense LAPACK, which broke even with ARPACK
+near n = 90 at k = 8 (one BLAS thread, 2-core Xeon; README has figures).
 """
 
 from dataclasses import dataclass
@@ -164,16 +169,13 @@ def _factor(ab):
 
 
 def _lanczos(apply, n, k=1):
-    """The k largest eigenpairs (ascending) of the symmetric operator x ->
-    apply(x) on R^n, by ARPACK's Lanczos method from a fixed start vector."""
+    """The k largest eigenpairs (values, vectors) of the symmetric x -> apply(x)
+    on R^n by ARPACK from a fixed start, to Ritz residuals of 1e-8."""
     try:
-        vals, vecs = eigsh(LinearOperator((n, n), apply, dtype=float), k,
-                           which="LA", tol=0,
-                           v0=np.random.default_rng(0).standard_normal(n))
+        return eigsh(LinearOperator((n, n), apply, dtype=float), k, which="LA",
+                     tol=1e-8, v0=np.random.default_rng(0).standard_normal(n))
     except ArpackError as exc:  # ArpackNoConvergence included
         raise ConvergenceFailureError(str(exc)) from exc
-    i = np.argsort(vals)
-    return vals[i], vecs[:, i]
 
 
 def solve_spd(K, F):
@@ -191,10 +193,9 @@ def solve_spd(K, F):
 def generalized_eigs(K, M, k):
     """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
     the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
-    the band factor C, refined by one inverse-iteration and Rayleigh-Ritz
-    step, or, for n <= max(2k + 1, 20), from the dense pencil of the bands.
-    Eigenvectors are M-orthonormal, and the entry of largest magnitude of
-    each is positive."""
+    the band factor C or, for n <= 80 + 2k, by dense LAPACK, then refined by
+    one inverse-iteration and Rayleigh-Ritz step.  Eigenvectors are
+    M-orthonormal, and the entry of largest magnitude of each is positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -207,24 +208,24 @@ def generalized_eigs(K, M, k):
     if k == 0:
         return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
     m, kd = _product(mb), len(c) - 1
-    if n <= max(2 * k + 1, 20):  # a Lanczos basis would span R^n
-        eye = np.eye(n)
-        vals, V = scipy.linalg.eigh(_product(kb)(eye), m(eye),
-                                    subset_by_index=[0, k - 1])
+    if n <= 80 + 2 * k:  # dense LAPACK is faster here (module docstring)
+        A = lapack.dtbtrs(c, m(lapack.dtbtrs(  # C^-1 M C^-T
+            c, np.eye(n), uplo="L", trans="T")[0]), uplo="L")[0]
+        Y = scipy.linalg.eigh(A, subset_by_index=[n - k, n - 1])[1]
     else:
         Y = _lanczos(lambda y: dtbsv(kd, c, m(dtbsv(  # C^-1 M C^-T y
             kd, c, y, lower=1, trans=1)), lower=1), n, k)[1]
-        # One inverse-iteration step, W = K^-1 M C^-T Y, purges the Ritz
-        # vectors of the huge lambda of a nearly dependent basis, which the
-        # residual amplifies; Rayleigh-Ritz in span(W) restores the pairs.
-        P = m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])
-        W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
-        mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
-        vals = 1.0 / mu[::-1]
-        V = (W @ U)[:, ::-1] / np.sqrt(mu[::-1])
-    V = V[np.argsort(order)]  # solver order -> natural
+    # One inverse-iteration step, W = K^-1 M C^-T Y, purges the vectors of
+    # the huge lambda of a nearly dependent basis, which the residual
+    # amplifies; Rayleigh-Ritz in span(W) restores the pairs to rounding level.
+    P = m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])
+    W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
+    mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
+    if mu[0] <= 0.0:  # k near n on a numerically dependent basis
+        raise NotPositiveDefiniteError("mass matrix: singular on the eigenvectors")
+    V = (W @ U)[np.argsort(order), ::-1] / np.sqrt(mu[::-1])  # natural order
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
-    return EigenSolution(values=vals, vectors=V)
+    return EigenSolution(values=1.0 / mu[::-1], vectors=V)
 
 
 def scaled_condition_number(A):

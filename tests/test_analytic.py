@@ -59,6 +59,23 @@ def test_invalid_arguments():
         solve_matching_system(0.5, 4.0, 0)
 
 
+@pytest.mark.parametrize("gamma,eta", [
+    (1.0 / 3.0, 4.0),
+    (1.0 / np.pi, float(np.e) ** 2),
+    (0.3788805936238925, 15.175383390373701),
+    (0.05, 1e3),
+    (0.95, 1e-3),
+])
+def test_roots_are_refined_to_rounding(gamma, eta):
+    # false position stops at a 4-ulp bracket, so the matching function
+    # changes sign across every root widened by 1e-14 relative (45 ulp)
+    rho = np.sqrt(eta)
+    for pair in solve_matching_system(gamma, eta, 20):
+        F = analytic._matching_F(pair.omega1 * np.array([1.0 - 1e-14, 1.0 + 1e-14]),
+                                 gamma, rho)
+        assert np.signbit(F[0]) != np.signbit(F[1])
+
+
 @settings(max_examples=25, deadline=None)
 @given(gamma=st.floats(0.1, 0.9), eta=st.floats(0.3, 9.0))
 def test_matching_roots_property(gamma, eta):

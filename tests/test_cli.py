@@ -207,10 +207,10 @@ def test_eigensolver_failure_exits_3_and_names_the_cell(monkeypatch, capsys):
                                   np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(densela, "eigsh", fail)
-    # from N = 40 on, p = 1 cells are large enough for ARPACK
-    assert main(["eigen", "--p", "1", "--N", "40,80,160"]) == 3
+    # from N = 160 on, p = 1 cells are large enough for ARPACK
+    assert main(["eigen", "--p", "1", "--N", "80,160,320"]) == 3
     err = capsys.readouterr().err
-    assert "No convergence" in err and "(p=1, N=40, FEM)" in err
+    assert "No convergence" in err and "(p=1, N=160, FEM)" in err
 
 
 @pytest.mark.parametrize("argv", [

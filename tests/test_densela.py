@@ -288,21 +288,62 @@ def test_generalized_eigs_tiny_systems(n, k):
     assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
 
 
-@pytest.mark.parametrize("n, k", [(20, 8), (21, 8), (41, 20), (42, 20)])
+@pytest.mark.parametrize("n, k", [(96, 8), (97, 8), (120, 20), (121, 20)])
 def test_generalized_eigs_on_both_sides_of_the_dense_switch(monkeypatch, n, k):
-    # n <= max(2k + 1, 20) takes the dense pencil, a larger n ARPACK
+    # n <= 80 + 2k takes the dense reduction, a larger n ARPACK
     K, M = _random_spd(n, 80 + n), _random_spd(n, 90 + n, shift=2.0)
     calls = []
     eigsh = densela.eigsh
     monkeypatch.setattr(densela, "eigsh", lambda *args, **kwargs: calls.append(
         1) or eigsh(*args, **kwargs))
     sol = generalized_eigs(K, M, k)
-    assert len(calls) == (n > max(2 * k + 1, 20))
+    assert len(calls) == (n > 80 + 2 * k)
     want = np.sort(1.0 / scipy.linalg.eigh(M, K, eigvals_only=True))[:k]
     np.testing.assert_allclose(sol.values, want, rtol=1e-10)
     V = sol.vectors
     np.testing.assert_allclose(V.T @ M @ V, np.eye(k), atol=1e-12)
     assert np.all(V[np.argmax(np.abs(V), axis=0), np.arange(k)] > 0.0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("gamma, eta", [(1.0 / 3.0, 4.0), (1.0 / np.pi, np.e**2)],
+                         ids=["case2", "case3"])
+def test_paper_cells_on_both_sides_of_the_dense_switch(p, gamma, eta):
+    # the paper's eigen cells, ndof 9-483: N <= 40 (p = 1, 2) and N <= 20
+    # (p = 3) go dense at k = 8, the larger ones to ARPACK.  Eigenvalues
+    # agree with the dense reference to 1e-12 plus the rounding floor of
+    # v^T K v and v^T M v, which reaches 5e-11 at p = 3, N = 160 (where the
+    # two differ by 1.2e-12).
+    for N in (10, 20, 40, 80, 160):
+        for enrich in (False, True):
+            _, system = _assemble(p, N, gamma, eta, enrich)
+            K, M = np.asarray(system.K), np.asarray(system.M)
+            sol = generalized_eigs(system.K, system.M, 8)
+            lam = np.sort(1.0 / scipy.linalg.eigh(M, K, eigvals_only=True))[:8]
+            aV = np.abs(sol.vectors)
+            floor = EPS * (np.einsum("ij,ij->j", aV, np.abs(K) @ aV) / lam
+                           + np.einsum("ij,ij->j", aV, np.abs(M) @ aV))
+            assert np.all(np.abs(sol.values / lam - 1.0) <= 1e-12 + floor)
+            KV = K @ sol.vectors
+            resid = (np.linalg.norm(KV - (M @ sol.vectors) * sol.values, axis=0)
+                     / np.linalg.norm(KV, axis=0))
+            assert resid.max() <= 1e-9
+
+
+@pytest.mark.parametrize("p, N, gamma", [(3, 14, (4 + 1e-6) / 14),
+                                         (4, 26, (8 + 1e-3) / 26)])
+def test_k_near_n_on_a_dependent_basis_is_positive_or_raises(p, N, gamma):
+    # gamma within 1e-3 h of a node: the enriched basis is numerically
+    # dependent, so M is singular to rounding on some of its n directions
+    _, system = _assemble(p, N, gamma, 4.0, True)
+    n = len(system.K)
+    for k in (n - 1, n):
+        try:
+            sol = generalized_eigs(system.K, system.M, k)
+        except NotPositiveDefiniteError:
+            continue
+        assert np.all(sol.values > 0.0) and np.all(np.isfinite(sol.values))
+        assert np.all(np.isfinite(sol.vectors))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -319,18 +360,20 @@ def test_arpack_failure_is_a_convergence_failure(monkeypatch):
                                   np.empty(0), np.empty((0, 0)))
 
     monkeypatch.setattr(densela, "eigsh", fail)
-    # n = 30 > 2k + 1 and > 20: ARPACK's branch (a smaller n goes dense)
-    K, M = _random_spd(30, 70), _random_spd(30, 71, shift=2.0)
+    # n = 90 > 80 + 2k: ARPACK's branch (a smaller n goes dense)
+    K, M = _random_spd(90, 70), _random_spd(90, 71, shift=2.0)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):
         generalized_eigs(K, M, 2)
     with pytest.raises(ConvergenceFailureError, match="No convergence"):
         scaled_condition_number(K)
 
 
-def test_every_arpack_call_is_standard_mode(monkeypatch, small_sgfem_system):
+def test_every_arpack_call_is_standard_mode(monkeypatch):
     # one Lanczos run on one symmetric operator per extreme: an M operator
-    # or shift-invert mode adds a Python call back for every M product
-    _, system = small_sgfem_system
+    # or shift-invert mode adds a Python call back for every M product; each
+    # stops at Ritz residuals of 1e-8, which the closing step of
+    # generalized_eigs refines to rounding level
+    _, system = _assemble(2, 50, 1.0 / 3.0, 4.0, True)  # ndof 102 > 80 + 2k
     K, M = system.K, system.M
     want = generalized_eigs(K, M, 5), scaled_condition_number(K)
     calls = []
@@ -343,6 +386,7 @@ def test_every_arpack_call_is_standard_mode(monkeypatch, small_sgfem_system):
     assert len(calls) == 3
     for args, kwargs in calls:
         assert len(args) == 2 and kwargs.get("which") == "LA"
+        assert kwargs.get("tol") == 1e-8
         assert not {"M", "sigma", "OPinv"} & kwargs.keys()
     assert np.array_equal(got.values, want[0].values)
     assert np.array_equal(got.vectors, want[0].vectors)
@@ -439,7 +483,7 @@ def test_library_calls_never_convert_a_band_matrix(monkeypatch):
         return to_array(A, *args, **kwargs)
 
     monkeypatch.setattr(densela.BandMatrix, "__array__", counted)
-    for N in (2, 20):  # the dense branch (ndof 11) and the ARPACK branch (83)
+    for N in (2, 30):  # the dense branch (ndof 11) and the ARPACK branch (124)
         _, system = _assemble(4, N, 0.31, 4.0, True)
         solve_spd(system.K, system.F)
         generalized_eigs(system.K, system.M, 3)
@@ -447,13 +491,34 @@ def test_library_calls_never_convert_a_band_matrix(monkeypatch):
         X = np.ones((len(system.M), 2))
         X.T @ system.M @ X
     run_source_sweep(SweepConfig(problem="source", degrees=(1, 3), Ns=(10, 20, 40)))
-    # the p=1 cells of ndof <= 20 take the dense branch, the others ARPACK
+    # the p=3, N=40 cells (ndof 119 and 123) take ARPACK, the others the
+    # dense branch
     run_eigen_sweep(SweepConfig(problem="eigen", case="case2", degrees=(1, 3),
                                 Ns=(10, 20, 40), outputs=("eigenfunctions",)))
     run_cond_sweep(2, (10, 20, 40))
     assert conversions == []
     np.asarray(system.K)  # the counter counts
     assert len(conversions) == 1
+
+
+# Drawn cells of the large_cell benchmark (seeds 2, 7, 22, 25, 27 and 54:
+# p = 3, N = 640, SGFEM, kappa = (1, eta) split at gamma) that hold the
+# conforming bound with less than a 2x margin (the lowest eigenvalue lies
+# 4.8e-11 to 7.3e-11 below the exact one): a change that moves the rounding
+# of K, M or the eigensolver can tip them below it.
+@pytest.mark.parametrize("gamma,eta", [(0.3331284939745215, 0.8651048251550764),
+                                       (0.3601163994378578, 9.456594088887021),
+                                       (0.47153593132076266, 15.200572051144539),
+                                       (0.2348967891598134, 0.6393278700118443),
+                                       (0.23483796920313912, 0.9602947062436178),
+                                       (0.21028427172724143, 1.6606371340783264)])
+def test_thin_margin_large_cell_eigenvalues_are_not_below_exact(gamma, eta):
+    space = build_space(build_uniform_mesh(640, gamma), 3)
+    system = assemble(space, InterfaceProblem(gamma=gamma, kappa0=1.0,
+                                              kappa1=eta))
+    lam_h = generalized_eigs(system.K, system.M, 8).values
+    lam = np.array([pair.lam for pair in solve_matching_system(gamma, eta, 8)])
+    assert np.all(lam_h >= lam * (1.0 - 1e-10))
 
 
 # Two drawn cells of the large_cell benchmark (seeds 8 and 11: p = 3,
