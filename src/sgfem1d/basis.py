@@ -11,7 +11,7 @@ p+1 products w * N_j for the nodal functions of the interface element.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -20,29 +20,32 @@ from .mesh import locate
 from .quadrature import composite_rule, panels
 
 
+@cache  # per degree and ndim(t): _lagrange's nodes up and down, and denominators
+def _nodes(p, ndim):
+    ts, tail = np.linspace(0.0, 1.0, p + 1), (1,) * ndim
+    return (np.stack([ts, ts[::-1]], 1).reshape((p + 1, 2) + tail),
+            np.prod(ts[:, None] - ts + np.eye(p + 1), axis=1).reshape((p + 1,) + tail))
+
+
 def _lagrange(p, t):
     """Values and first derivatives, each of shape (p+1,) + shape(t), of all
     p+1 equispaced Lagrange shape functions on [0, 1] at reference points t."""
     t = np.asarray(t, dtype=float)
-    ts = np.linspace(0.0, 1.0, p + 1)
-    d = t - ts.reshape((p + 1,) + (1,) * t.ndim)
-    # L_i = pre_i suf_i / denom_i with pre_i (suf_i) the product of the
-    # d_m = t - t_m over m < i (m > i); the product rule carries derivatives
-    pre, suf = np.ones_like(d), np.ones_like(d)
-    dpre, dsuf = np.zeros_like(d), np.zeros_like(d)
-    for m in range(p):
-        k = p - m
-        dpre[m + 1] = dpre[m] * d[m] + pre[m]
-        pre[m + 1] = pre[m] * d[m]
-        dsuf[k - 1] = dsuf[k] * d[k] + suf[k]
-        suf[k - 1] = suf[k] * d[k]
-    denom = np.prod(ts[:, None] - ts + np.eye(p + 1), axis=1)
-    denom = denom.reshape((p + 1,) + (1,) * t.ndim)
+    nodes, denom = _nodes(p, t.ndim)
+    # L_i = pre_i suf_i / denom_i, pre_i (suf_i) the product of the d_m = t - t_m
+    # over m < i (m > i), in order from d[0] = 1 up column 0 (down column 1).
+    d = np.ones((p + 2, 2) + t.shape)
+    np.subtract(t, nodes, out=d[1:])
+    prods, dprods = np.cumprod(d[:-1], axis=0), np.zeros_like(d[1:])
+    dprods[1] = 1.0  # = dprods[0] * d[1] + prods[0]; the product rule goes on
+    for m in range(1, p):
+        dprods[m + 1] = dprods[m] * d[m + 1] + prods[m]
+    pre, suf, dpre, dsuf = prods[:, 0], prods[::-1, 1], dprods[:, 0], dprods[::-1, 1]
     ders = (dpre * suf + pre * dsuf) / denom
     # The derivatives of a partition of unity sum to zero.  Enforcing it
     # keeps K * const = 0 on each element to rounding: a table shared by
     # every element would otherwise repeat its error in every row of K.
-    return pre * suf / denom, ders - ders.mean(axis=0)
+    return pre * suf / denom, ders - np.add.reduce(ders, 0) / (p + 1)
 
 
 def lagrange_all(p, t, deriv=0):
@@ -88,6 +91,21 @@ class EnrichedSpace:
             a.setflags(write=False)
         return q
 
+    @cached_property  # kept in the instance __dict__: freed with the space
+    def panel_layout(self):
+        """What every panel_basis call shares, read-only: the panel ends lo,
+        hi, followed off a node by those of [0, nu] and [nu, 1]; each panel's
+        table (0: whole element, 1 and 2: the sides of gamma); the _layout."""
+        elements, edges = panels(self.mesh)
+        layout, which = _layout(self, elements), np.zeros(len(elements), dtype=int)
+        lo, hi, nu = edges[:-1], edges[1:], layout[2]
+        if not self.mesh.fitting:
+            lo, hi = np.concatenate([lo, (0.0, nu)]), np.concatenate([hi, (nu, 1.0)])
+            which[self.mesh.r - 1:self.mesh.r + 1] = (1, 2)
+        for a in (lo, hi, which, layout[1], *(run[1] for run in layout[0])):
+            a.setflags(write=False)
+        return lo, hi, which, layout
+
 
 @dataclass
 class DofVector:
@@ -122,11 +140,8 @@ def eval_fem_basis(space, j, x, deriv=0):
     if not 0 <= i <= p:
         return 0.0
     a, b = mesh.element_bounds(k)
-    t = (x - a) / (b - a)
-    v = lagrange_all(p, np.array(t), deriv)[i]
-    if deriv:
-        v = v / (b - a)
-    return float(v)
+    v = lagrange_all(p, (x - a) / (b - a), deriv)[i]
+    return float(v / (b - a) if deriv else v)
 
 
 def eval_enrichment(space, x, deriv=0):
@@ -189,17 +204,6 @@ def represent_piecewise_poly(a, b, nu, p):
     return alpha, beta
 
 
-def _poly_interp_coeffs(f, lo, hi, p, to_ref):
-    """Monomial coefficients (in the reference coordinate of the interface
-    element) of the degree-p interpolant of f on [lo, hi]."""
-    xs = np.linspace(lo, hi, p + 1)
-    ts = to_ref(xs)
-    vals = np.array([f(x) for x in xs], dtype=float)
-    # Vandermonde solve; p is small so this is exact enough.
-    V = np.vander(ts, p + 1, increasing=True)
-    return np.linalg.solve(V, vals)
-
-
 def build_interface_interpolant(u0, u1, space):
     """Piecewise degree-p Lagrange interpolant of the piecewise-smooth
     function (u0 on [0, gamma], u1 on [gamma, 1]) in the enriched space.
@@ -208,8 +212,7 @@ def build_interface_interpolant(u0, u1, space):
     interface element the two sub-interval interpolants are converted to
     FEM + enrichment coefficients through represent_piecewise_poly.
     """
-    mesh, p = space.mesh, space.p
-    g = mesh.gamma
+    mesh, p, g = space.mesh, space.p, space.mesh.gamma
     v0, v1 = u0(g), u1(g)
     if abs(v0 - v1) > 1e-10 * (1.0 + abs(v0)):
         raise DiscontinuousInputError(
@@ -217,32 +220,30 @@ def build_interface_interpolant(u0, u1, space):
     if not space.enriched:
         raise InvalidArgumentError("space must be enriched (non-fitting mesh)")
 
-    def u(x):
-        return u0(x) if x < g else u1(x)
-
-    uF = np.array([u(space.global_node_x(j)) for j in range(1, space.n_fem + 1)])
-
-    r = mesh.r
-    a, b = mesh.element_bounds(r)
+    u = lambda x: u0(x) if x < g else u1(x)
+    # the interior nodes as global_node_x computes them; u takes one at a time
+    k, i = np.divmod(np.arange(1, space.n_fem + 1), p)
+    lo, hi = mesh.nodes[k], mesh.nodes[k + 1]
+    uF = np.array([u(x) for x in lo + (hi - lo) * i / p])
+    r, (a, b) = mesh.r, mesh.element_bounds(mesh.r)
     h = b - a
-    nu = (g - a) / h
-    to_ref = lambda x: (np.asarray(x) - a) / h
 
-    c0 = _poly_interp_coeffs(u0, a, g, p, to_ref)
-    c1 = _poly_interp_coeffs(u1, g, b, p, to_ref)
-    # nodal interpolant restricted to the interface element, same coordinates
-    co = _poly_interp_coeffs(u, a, b, p, to_ref)
+    def coeffs(f, lo, hi):  # of f's degree-p interpolant on [lo, hi], in t
+        xs = np.linspace(lo, hi, p + 1)
+        V = np.vander((xs - a) / h, p + 1, increasing=True)  # p is small
+        return np.linalg.solve(V, np.array([f(x) for x in xs], dtype=float))
 
-    alpha, beta = represent_piecewise_poly(c0 - co, c1 - co, nu, p)
+    # co: the nodal interpolant on the interface element, same coordinates
+    c0, c1, co = coeffs(u0, a, g), coeffs(u1, g, b), coeffs(u, a, b)
+    alpha, beta = represent_piecewise_poly(c0 - co, c1 - co, (g - a) / h, p)
 
-    tloc = np.linspace(0.0, 1.0, p + 1)
-    q = np.polynomial.polynomial.polyval(tloc, alpha)
+    q, gb = (np.polynomial.polynomial.polyval(np.linspace(0.0, 1.0, p + 1), c)
+             for c in (alpha, beta))
     # polynomial correction vanishes at the element endpoints; add it only at
     # the interior nodes (never on the boundary) so neighbours stay untouched
     uF[space.element_dofs(r)[1:p] - 1] += q[1:p]
     # actual enrichment = h * reference enrichment, so coefficients shrink by h
-    gb = np.polynomial.polynomial.polyval(tloc, beta) / h
-    uE = gb[np.array(space.enriched_set, dtype=int) - (r - 1) * p]
+    uE = gb[np.array(space.enriched_set, dtype=int) - (r - 1) * p] / h
     return DofVector(u_F=uF, u_E=uE)
 
 
@@ -274,51 +275,61 @@ class PanelBasis:
                                for _, rows, vals, ders in self.runs])
 
 
-def _basis_runs(space, elements, t, which):
-    """PanelBasis.runs for panels lying in the ascending 1-based elements,
-    panel i at the reference points t[which[i]]: the runs before, in and
-    after the interface element."""
+@cache  # at most 30 rules per degree, read-only, shared like gauss_rule
+def reference_tables(p, n):
+    """The n Gauss points t of [0, 1], shape (1, n), and _lagrange(p, t)."""
+    t = composite_rule([0.0], [1.0], n)[0]
+    for a in (tables := (t, *_lagrange(p, t))):
+        a.setflags(write=False)
+    return tables
+
+
+def _layout(space, elements):
+    """(runs, h, nu) for panels in the ascending 1-based elements: one (index,
+    rows, enr) per run, enr = (local, size) on a run with the enrichment; the
+    element sizes, shape (panels, 1, 1); gamma's reference point."""
     mesh, p, nf, r = space.mesh, space.p, space.n_fem, space.mesh.r
     g = (elements[:, None] - 1) * p + np.arange(p + 1)
     rows = np.where(g <= nf, g - 1, -1)
-    lv, ld = _lagrange(p, t)
+    runs, (a, b) = ((slice(None), rows, None),), mesh.element_bounds(r)
+    if space.n_enr:
+        lo, hi = np.searchsorted(elements, (r, r + 1))
+        local = np.array(space.enriched_set) - (r - 1) * p
+        enr = np.repeat(nf + np.arange(space.n_enr)[None], hi - lo, 0)
+        on = slice(lo, hi), np.concatenate([rows[lo:hi], enr], 1), (local, b - a)
+        before, after = ((i, rows[i], None) for i in (slice(0, lo), slice(hi, None)))
+        runs = tuple(run for run in (before, on, after) if len(run[1])) or (on,)
     h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-    vals, ders = lv.transpose(1, 0, 2)[which], ld.transpose(1, 0, 2)[which] / h[:, None, None]
-    if not space.n_enr:
-        return ((slice(None), rows, vals, ders),)
-    # w = h * reference_enrichment, on the interface element only
-    lo, hi = np.searchsorted(elements, (r, r + 1))
-    a, b = mesh.element_bounds(r)
-    nu, tk = (mesh.gamma - a) / (b - a), t[which[lo:hi]]
-    w = (b - a) * reference_enrichment(nu, tk)[:, None]
-    dw = reference_enrichment(nu, tk, 1)[:, None]
-    local = np.array(space.enriched_set) - (r - 1) * p
-    phi, dphi = vals[lo:hi, local], ders[lo:hi, local]
-    enr = np.tile(nf + np.arange(len(local)), (hi - lo, 1))
-    on = (slice(lo, hi), np.concatenate([rows[lo:hi], enr], 1),
-          np.concatenate([vals[lo:hi], w * phi], 1),
-          np.concatenate([ders[lo:hi], dw * phi + w * dphi], 1))
-    before, after = ((i, rows[i], vals[i], ders[i]) for i in (slice(0, lo), slice(hi, None)))
-    return tuple(run for run in (before, on, after) if len(run[1])) or (on,)
+    return runs, h[:, None, None], (mesh.gamma - a) / (b - a)
+
+
+def _basis_runs(runs, h, nu, t, lv, ld, which):
+    """PanelBasis.runs, one by one, of a _layout (runs, h, nu): panel i at table
+    which[i] of the points t, whose _lagrange tables lv, ld are (p+1, tables, n)."""
+    vals, ders = lv.transpose(1, 0, 2)[which], ld.transpose(1, 0, 2)[which] / h
+    for index, rows, enr in runs:
+        v, d = vals[index], ders[index]
+        if enr is not None:  # w = h * reference_enrichment, interface element only
+            tk, (local, size) = t[which[index]], enr
+            w = size * reference_enrichment(nu, tk)[:, None]
+            dw = reference_enrichment(nu, tk, 1)[:, None]
+            phi, dphi = v[:, local], d[:, local]
+            v, d = (np.concatenate([v, w * phi], 1),
+                    np.concatenate([d, dw * phi + w * dphi], 1))
+        yield index, rows, v, d
 
 
 def panel_basis(space, n):
-    """The n-point Gauss rule on every integration panel of the space's
-    mesh (split at gamma on non-fitting meshes) with every basis function
-    evaluated there, as a PanelBasis."""
-    mesh = space.mesh
-    elements, edges = panels(mesh)
-    x, w = composite_rule(edges[:-1], edges[1:], n)
-    # A panel is a whole element or, in the interface element of a
-    # non-fitting mesh, one side of gamma: shape tables on these three
-    # reference intervals serve every panel.
-    a, b = mesh.element_bounds(mesh.r)
-    nu = (mesh.gamma - a) / (b - a)
-    t, _ = composite_rule([0.0, 0.0, nu], [1.0, nu, 1.0], n)
-    which = np.zeros(len(elements), dtype=int)
-    if not mesh.fitting:
-        which[mesh.r - 1:mesh.r + 1] = (1, 2)
-    return PanelBasis(x, w, _basis_runs(space, elements, t, which))
+    """The n-point Gauss rule on every integration panel of the space's mesh
+    (split at gamma off a node) and every basis function there, as a
+    PanelBasis: only the two sides of gamma need tables of their own."""
+    lo, hi, which, layout = space.panel_layout
+    x, w = composite_rule(lo, hi, n)
+    tables = reference_tables(space.p, n)
+    if not space.mesh.fitting:  # the last two rows: the sides of gamma in [0, 1]
+        x, w, t = x[:-2], w[:-2], x[-2:]
+        tables = [np.concatenate(a, -2) for a in zip(tables, (t, *_lagrange(space.p, t)))]
+    return PanelBasis(x, w, tuple(_basis_runs(*layout, *tables, which)))
 
 
 def eval_solution(space, dofs, x, deriv=0):
@@ -328,10 +339,9 @@ def eval_solution(space, dofs, x, deriv=0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     o = np.argsort(x, axis=None)  # sorted points make at most three runs
     flat = x.ravel()[o, None]
-    nodes = space.mesh.nodes
     elements = locate(space.mesh, flat[:, 0])
-    a, b = nodes[elements - 1, None], nodes[elements, None]
+    a, b = space.mesh.nodes[elements - 1, None], space.mesh.nodes[elements, None]
     t = (flat - a) / (b - a)
-    q = PanelBasis(flat, None, _basis_runs(space, elements, t,
-                                           np.arange(len(flat))))
+    runs = _basis_runs(*_layout(space, elements), t, *_lagrange(space.p, t), np.arange(len(t)))
+    q = PanelBasis(flat, None, tuple(runs))
     return q.combine(dofs, deriv)[np.argsort(o), 0].reshape(x.shape)

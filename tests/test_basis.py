@@ -1,17 +1,22 @@
 """Nodal basis, enrichment function, and enriched-space representation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgfem1d.basis
 from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
-from sgfem1d.basis import lagrange_all, panel_basis, reference_enrichment
+from sgfem1d.basis import (_lagrange, lagrange_all, panel_basis, reference_enrichment,
+                           reference_tables)
 from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
                                 OutOfDomainError)
-from sgfem1d.quadrature import panels
+from sgfem1d.quadrature import composite_rule, panels
 
 polyval = np.polynomial.polynomial.polyval
 
@@ -50,6 +55,42 @@ def test_degree_p_polynomial_reproduced(p):
     nodes = np.linspace(0.0, 1.0, p + 1)
     combo = (nodes[:, None] ** p * lagrange_all(p, t, 0)).sum(axis=0)
     np.testing.assert_allclose(combo, t**p, atol=1e-12)
+
+
+def _lagrange_loop(p, t):
+    """The product-rule recurrence one statement per product, as _lagrange
+    computed it before its prefix and suffix products shared one array."""
+    t = np.asarray(t, dtype=float)
+    ts = np.linspace(0.0, 1.0, p + 1)
+    d = t - ts.reshape((p + 1,) + (1,) * t.ndim)
+    pre, suf = np.ones_like(d), np.ones_like(d)
+    dpre, dsuf = np.zeros_like(d), np.zeros_like(d)
+    for m in range(p):
+        k = p - m
+        dpre[m + 1] = dpre[m] * d[m] + pre[m]
+        pre[m + 1] = pre[m] * d[m]
+        dsuf[k - 1] = dsuf[k] * d[k] + suf[k]
+        suf[k - 1] = suf[k] * d[k]
+    denom = np.prod(ts[:, None] - ts + np.eye(p + 1), axis=1)
+    denom = denom.reshape((p + 1,) + (1,) * t.ndim)
+    ders = (dpre * suf + pre * dsuf) / denom
+    return pre * suf / denom, ders - ders.mean(axis=0)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_lagrange_equals_the_loop_recurrence_bit_for_bit(p):
+    rng = np.random.default_rng(p)
+    for t in (0.3, rng.random(7), rng.random((2, 9)), rng.random((5, 1))):
+        for got, want in zip(_lagrange(p, t), _lagrange_loop(p, t)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+def test_lagrange_at_a_scalar_matches_a_one_point_array(p):
+    for deriv in (0, 1):
+        got = lagrange_all(p, 0.3, deriv)
+        assert got.shape == (p + 1,)
+        assert np.array_equal(got, lagrange_all(p, np.array([0.3]), deriv)[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,3 +403,108 @@ def test_panel_tables_carry_enrichment_on_interface_panels_only(p, N, gamma,
     assert seen == list(range(len(elements)))  # every panel once, in order
     assert len(q.runs) == (1 if not space.n_enr else
                            1 + (mesh.r > 1) + (mesh.r < N))
+
+
+def _direct_panel_tables(space, n):
+    """Per panel, the values and x-derivatives of the functions living on it,
+    each from its own _lagrange and reference_enrichment call at the Gauss
+    points of the panel's reference interval: [0, 1], [0, nu] or [nu, 1]."""
+    mesh, p = space.mesh, space.p
+    a, b = mesh.element_bounds(mesh.r)
+    nu = (mesh.gamma - a) / (b - a)
+    tables = []
+    for i, e in enumerate(panels(mesh)[0]):
+        split = not mesh.fitting and e == mesh.r
+        lo, hi = ((nu, 1.0) if i == mesh.r else (0.0, nu)) if split else (0.0, 1.0)
+        t = composite_rule([lo], [hi], n)[0][0]
+        vals, ders = _lagrange(p, t)
+        h = mesh.nodes[e] - mesh.nodes[e - 1]
+        ders = ders / h
+        if space.n_enr and e == mesh.r:
+            local = np.array(space.enriched_set) - (e - 1) * p
+            w, dw = h * reference_enrichment(nu, t), reference_enrichment(nu, t, 1)
+            vals, ders = (np.concatenate([vals, w * vals[local]]),
+                          np.concatenate([ders, dw * vals[local] + w * ders[local]]))
+        tables.append((vals, ders))
+    return tables
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("N,gamma", [
+    (6, 1.0 / 3.0), (7, 0.3), (10, 0.3 + 5e-5), (10, 0.7 - 5e-5)])
+@pytest.mark.parametrize("enrich", [False, True])
+def test_panel_basis_matches_direct_per_panel_tables_bit_for_bit(p, N, gamma, enrich):
+    # fitting, non-fitting, and gamma within 1e-3 h of a node on either side
+    space = build_space(build_uniform_mesh(N, gamma), p, enrich=enrich)
+    edges = panels(space.mesh)[1]
+    for n in (p + 2, p + 6):
+        q = panel_basis(space, n)
+        x, w = composite_rule(edges[:-1], edges[1:], n)
+        assert np.array_equal(q.x, x) and np.array_equal(q.w, w)
+        got = [pair for _, _, vals, ders in q.runs for pair in zip(vals, ders)]
+        want = _direct_panel_tables(space, n)
+        assert len(got) == len(want)
+        for (gv, gd), (wv, wd) in zip(got, want):
+            assert np.array_equal(gv, wv) and np.array_equal(gd, wd)
+
+
+@pytest.mark.parametrize("p,n", [(1, 3), (3, 7), (6, 12)])
+def test_reference_tables_are_shared_and_read_only(p, n):
+    tables = reference_tables(p, n)
+    assert reference_tables(p, n) is tables
+    t, vals, ders = tables
+    assert t.shape == (1, n) and vals.shape == ders.shape == (p + 1, 1, n)
+    for a in tables:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0.0
+
+
+def test_panel_layout_is_per_space_and_read_only():
+    mesh = build_uniform_mesh(20, 0.31)
+    a, b = build_space(mesh, 2), build_space(mesh, 2)
+    assert a.panel_layout is a.panel_layout
+    assert a.panel_layout is not b.panel_layout
+    lo, hi, which, (runs, h, nu) = a.panel_layout
+    edges = panels(mesh)[1]
+    assert np.array_equal(lo, np.append(edges[:-1], (0.0, nu)))
+    assert np.array_equal(hi, np.append(edges[1:], (nu, 1.0)))
+    assert which.tolist() == [0] * (mesh.r - 1) + [1, 2] + [0] * (mesh.N - mesh.r)
+    assert len(runs) == 3  # before, on and after the interface element
+    for arr in (lo, hi, which, h, *(run[1] for run in runs)):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_panel_layout_is_freed_with_its_space():
+    space = build_space(build_uniform_mesh(20, 0.31), 2)
+    lo, hi, which, (runs, h, nu) = space.panel_layout
+    refs = [weakref.ref(a) for a in (space, lo, hi, which, h, *(run[1] for run in runs))]
+    del space, lo, hi, which, runs, h
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+@pytest.fixture
+def lagrange_points(monkeypatch):
+    """The point count of every _lagrange call made through the basis module."""
+    counts, real = [], sgfem1d.basis._lagrange
+
+    def recorder(p, t):
+        counts.append(np.size(t))
+        return real(p, t)
+
+    monkeypatch.setattr(sgfem1d.basis, "_lagrange", recorder)
+    return counts
+
+
+@pytest.mark.parametrize("gamma,enrich,split", [
+    (0.3, True, True), (0.3, False, True), (1.0 / 3.0, True, False)])
+def test_panel_basis_evaluates_lagrange_only_on_the_sides_of_gamma(
+        lagrange_points, gamma, enrich, split):
+    mesh, p, n = build_uniform_mesh(12, gamma), 2, 5
+    panel_basis(build_space(mesh, p, enrich=enrich), n)  # fills the (p, n) tables
+    lagrange_points.clear()
+    space = build_space(mesh, p, enrich=enrich)
+    panel_basis(space, n)
+    panel_basis(space, n)
+    assert lagrange_points == ([2 * n, 2 * n] if split else [])
