@@ -43,8 +43,8 @@ class BlockSystem:
     (else None), read-only, FEM rows first and enrichment rows after.  K and
     M are densela.BandMatrix objects over lower bands in the solver's order
     (M's built by ``mass`` on first read: a source problem needs only K and
-    F).  The 2x2 blocks K_FF..M_EE are views into the dense np.asarray(K)
-    and np.asarray(M); F_F and F_E are views into F."""
+    F).  K_FF, K_FE and K_EE are views into the dense np.asarray(K), which
+    only benchmarks/spans.py reads, until it reads K's band instead."""
 
     def __init__(self, order, kb, mass, F, n_fem):
         if F is not None:
@@ -62,14 +62,7 @@ class BlockSystem:
     F = property(lambda self: self._F)
     K_FF = property(lambda self: self.K[:self.n_fem, :self.n_fem])
     K_FE = property(lambda self: self.K[:self.n_fem, self.n_fem:])
-    K_EF = property(lambda self: self.K[self.n_fem:, :self.n_fem])
     K_EE = property(lambda self: self.K[self.n_fem:, self.n_fem:])
-    M_FF = property(lambda self: self.M[:self.n_fem, :self.n_fem])
-    M_FE = property(lambda self: self.M[:self.n_fem, self.n_fem:])
-    M_EF = property(lambda self: self.M[self.n_fem:, :self.n_fem])
-    M_EE = property(lambda self: self.M[self.n_fem:, self.n_fem:])
-    F_F = property(lambda self: None if self._F is None else self._F[:self.n_fem])
-    F_E = property(lambda self: None if self._F is None else self._F[self.n_fem:])
 
 
 def _gram(f, weight):

@@ -59,15 +59,16 @@ class EnrichedSpace:
 
     enriched_set holds the global basis indices whose nodal functions are
     multiplied by the enrichment (the nodes of the interface element that
-    are interior to the domain).
+    are interior to the domain); the counts n_fem, n_enr and the flag
+    enriched are derived from p, mesh and it.
     """
 
     p: int
     mesh: object
-    n_fem: int
     enriched_set: tuple
-    n_enr: int
-    enriched: bool
+    n_fem = property(lambda self: self.p * self.mesh.N - 1)
+    n_enr = property(lambda self: len(self.enriched_set))
+    enriched = property(lambda self: bool(self.enriched_set))
 
     def global_node_x(self, g):
         """Coordinate of global node g (0 <= g <= p*N)."""
@@ -122,12 +123,9 @@ def build_space(mesh, p, enrich=True):
     """Construct the degree-p space; enrichment is dropped on fitting meshes."""
     if p < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {p}")
-    n_fem = p * mesh.N - 1
     enriched = bool(enrich) and not mesh.fitting
-    cand = np.arange((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
-    rset = tuple(int(g) for g in cand if 1 <= g <= n_fem)
-    return EnrichedSpace(p=p, mesh=mesh, n_fem=n_fem, enriched_set=rset,
-                         n_enr=len(rset), enriched=enriched)
+    cand = range((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
+    return EnrichedSpace(p, mesh, tuple(g for g in cand if 1 <= g < p * mesh.N))
 
 
 def eval_fem_basis(space, j, x, deriv=0):

@@ -122,7 +122,6 @@ def main(argv=None):
         if args.command == "source":
             cfg = load_config(args.config, overrides)
             report = sweep_mod.run_source_sweep(cfg)
-            gamma, eta = 1.0 / 3.0, 4.0
         else:
             if args.case is not None and (args.gamma, args.eta) != (None, None):
                 raise InvalidArgumentError("give either --case or --gamma/--eta")
@@ -135,11 +134,9 @@ def main(argv=None):
                 overrides["outputs"] = "eigenfunctions"
             cfg = load_config(args.config, overrides)
             report = sweep_mod.run_eigen_sweep(cfg)
-            gamma, eta = report.metadata["gamma"], report.metadata["eta"]
-            if args.dump_function is not None:
-                _dump_function(cfg, gamma, eta, args.dump_index,
-                               args.dump_function)
-
+        gamma, eta = report.metadata["gamma"], report.metadata["eta"]
+        if args.command == "eigen" and args.dump_function is not None:
+            _dump_function(cfg, gamma, eta, args.dump_index, args.dump_function)
         if args.dump_matrices is not None:
             _dump_matrices(cfg, args.dump_matrices, gamma, eta)
 

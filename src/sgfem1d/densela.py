@@ -5,16 +5,16 @@ The matrices are banded except for the enrichment rows, which sit at the
 end.  Rows ordered by their first nonzero column (stably) put every
 enrichment row next to its interface element: half-bandwidth at most 2p+1
 for SGFEM, p for FEM.  A BandMatrix (an assembled system's K or M) holds
-that order and its band; dense input is scanned for its pattern, on which
-symmetry is checked.  K is factored by LAPACK's banded Cholesky (dpbtrf).
+that order and its band; dense input must be finite and symmetric, and is
+scanned for its pattern.  K is factored by LAPACK's banded Cholesky (dpbtrf).
 
 Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 (scipy's eigsh) in standard mode, as the largest of one symmetric band
 operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
 mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
-operator K^-1 M, applied by two triangular band solves (dtbsv) on the
-Cholesky factor around a band product by M.  The scaled condition number
-takes its extremes from a band product and from dpbtrs.
+operator K^-1 M, applied by two triangular band solves (dtbtrs) on the
+Cholesky factor around a band product by M, in every branch.  The scaled
+condition number takes its extremes from a band product and from dpbtrs.
 
 Lanczos stops at Ritz residuals of 1e-8 (ARPACK's tol; |theta - lambda| <=
 ||r||), and generalized_eigs restores its pairs to rounding level: at k = 8
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import dsbmv, dtbsv
+from scipy.linalg.blas import dsbmv
 from scipy.sparse import dia_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -103,20 +103,18 @@ class BandMatrix:
 
 
 def _symmetric(A, n=None):
-    """A as a float square (n x n, if n is given) array if it is symmetric on
-    its nonzeros, to 1e-12 of each entry plus 1e-12 of the largest (at least
+    """A as a float square (n x n, if n is given) array if it is finite and
+    symmetric, to 1e-12 of each entry plus 1e-12 of the largest (at least
     1e-12); else raises."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     if n is not None and len(A) != n:
         raise InvalidArgumentError(f"matrix must be {n}x{n}, got {A.shape}")
-    flat, n = A.ravel(), len(A)
-    idx = np.flatnonzero(flat)
-    rows, cols = np.divmod(idx, n)
-    vals, mirror = flat[idx], flat[cols * n + rows]
-    atol = 1e-12 * max(1.0, np.abs(vals).max(initial=0.0))
-    if not np.all(np.abs(vals - mirror) <= atol + 1e-12 * np.abs(mirror)):
+    if not np.isfinite(A).all():
+        raise InvalidArgumentError("matrix must be finite")
+    atol = 1e-12 * max(1.0, np.abs(A).max(initial=0.0))
+    if not np.allclose(A, A.T, rtol=1e-12, atol=atol):
         raise InvalidArgumentError("matrix must be symmetric")
     return A
 
@@ -207,18 +205,17 @@ def generalized_eigs(K, M, k):
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
     if k == 0:
         return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
-    m, kd = _product(mb), len(c) - 1
+    m = _product(mb)
+    mct = lambda Y: m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])  # M C^-T Y
+    op = lambda Y: lapack.dtbtrs(c, mct(Y), uplo="L")[0]  # C^-1 M C^-T Y
     if n <= 80 + 2 * k:  # dense LAPACK is faster here (module docstring)
-        A = lapack.dtbtrs(c, m(lapack.dtbtrs(  # C^-1 M C^-T
-            c, np.eye(n), uplo="L", trans="T")[0]), uplo="L")[0]
-        Y = scipy.linalg.eigh(A, subset_by_index=[n - k, n - 1])[1]
+        Y = scipy.linalg.eigh(op(np.eye(n)), subset_by_index=[n - k, n - 1])[1]
     else:
-        Y = _lanczos(lambda y: dtbsv(kd, c, m(dtbsv(  # C^-1 M C^-T y
-            kd, c, y, lower=1, trans=1)), lower=1), n, k)[1]
+        Y = _lanczos(op, n, k)[1]
     # One inverse-iteration step, W = K^-1 M C^-T Y, purges the vectors of
     # the huge lambda of a nearly dependent basis, which the residual
     # amplifies; Rayleigh-Ritz in span(W) restores the pairs to rounding level.
-    P = m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])
+    P = mct(Y)
     W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
     mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
     if mu[0] <= 0.0:  # k near n on a numerically dependent basis

@@ -25,7 +25,7 @@ class Mesh1D:
     ----------
     N : number of elements
     nodes : array of N+1 node coordinates, nodes[0] = 0, nodes[-1] = 1
-    h : maximum element size (= 1/N here)
+    h : maximum element size (= 1/N here, derived from N)
     gamma : interface coordinate
     r : 1-based index of the element containing gamma
     fitting : True iff gamma coincides with a node
@@ -33,10 +33,10 @@ class Mesh1D:
 
     N: int
     nodes: np.ndarray
-    h: float
     gamma: float
     r: int
     fitting: bool
+    h = property(lambda self: 1.0 / self.N)
 
     def element_bounds(self, j):
         """Endpoints (x_{j-1}, x_j) of element j (1-based)."""
@@ -53,13 +53,12 @@ def build_uniform_mesh(N, gamma):
 
     nodes = np.linspace(0.0, 1.0, N + 1)  # exact 0 and 1 at the ends
     nodes.setflags(write=False)
-    h = 1.0 / N
 
     j_near = int(round(gamma * N))
-    fitting = abs(gamma - j_near * h) < FITTING_TOL
+    fitting = abs(gamma - j_near * (1.0 / N)) < FITTING_TOL
     # fitting: the element to the left of the coinciding node
     r = max(j_near, 1) if fitting else _element(nodes, gamma)
-    return Mesh1D(N=N, nodes=nodes, h=h, gamma=float(gamma), r=r, fitting=fitting)
+    return Mesh1D(N=N, nodes=nodes, gamma=float(gamma), r=r, fitting=fitting)
 
 
 def locate(mesh, x):

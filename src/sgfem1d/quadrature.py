@@ -60,11 +60,10 @@ def panel_list(mesh):
 
 
 def sample(f, x):
-    """f called once on the flattened points x, reshaped like x (a scalar
-    result is broadcast)."""
-    flat = x.ravel()
-    return np.broadcast_to(np.asarray(f(flat), dtype=float),
-                           flat.shape).reshape(x.shape)
+    """f called once on the flattened points x, reshaped like x (a result of
+    another size, such as a scalar, is broadcast)."""
+    y = np.asarray(f(x.ravel()), dtype=float)
+    return (y if y.size == x.size else np.broadcast_to(y, x.size)).reshape(x.shape)
 
 
 def integrate_piecewise(f, mesh, n):

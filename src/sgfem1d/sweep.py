@@ -41,8 +41,13 @@ class SweepConfig:
     def validate(self):
         if self.problem not in ("source", "eigen"):
             raise InvalidArgumentError(f"unknown problem {self.problem!r}")
-        if list(self.Ns) != sorted(self.Ns):
-            raise InvalidArgumentError("Ns must be ascending")
+        if any(a >= b for a, b in zip(self.Ns, self.Ns[1:])):
+            raise InvalidArgumentError("Ns must be strictly ascending")
+        for name in ("degrees", "methods", "eigen_indices"):
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise InvalidArgumentError(f"{name} repeat an entry")
+        if set(self.outputs) - {"eigenfunctions"}:
+            raise InvalidArgumentError(f"unknown outputs {self.outputs!r}")
         if any(p < 1 or p > 6 for p in self.degrees):
             raise InvalidArgumentError("degrees must lie in 1..6")
         if any(i < 1 for i in self.eigen_indices):
@@ -123,7 +128,7 @@ def run_source_sweep(cfg):
         return [rec("h1_semi_u", h1_semi_error(dofs, space, u)),
                 rec("l2_u", l2_error(dofs, space, u))]
 
-    return _sweep(cfg, prob.gamma, cell)
+    return _sweep(cfg, prob.gamma, cell, {"gamma": prob.gamma, "eta": prob.kappa1})
 
 
 def _check_gaps(pairs, indices):

@@ -65,7 +65,7 @@ def test_block_shapes(small_sgfem_system):
     assert sys_.K_FF.shape == (nf, nf)
     assert sys_.K_FE.shape == (nf, ne)
     assert sys_.K_EE.shape == (ne, ne)
-    np.testing.assert_array_equal(sys_.K_FE, sys_.K_EF.T)
+    np.testing.assert_array_equal(sys_.K_FE, np.asarray(sys_.K)[nf:, :nf].T)
     assert sys_.K.shape == (nf + ne, nf + ne)
 
 
@@ -82,11 +82,9 @@ def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     _, _, prob = benchmark_problem
     sys_ = assemble(build_space(build_uniform_mesh(10, prob.gamma), 2), prob)
     assert len(calls) == 1  # K only: a source problem needs K and F
-    M_EE = sys_.M_EE
-    assert len(calls) == 2
     M = sys_.M
+    assert len(calls) == 2
     assert sys_.M is M and not np.asarray(M).flags.writeable
-    assert np.shares_memory(M_EE, np.asarray(M))
     assert len(calls) == 2
 
 
@@ -163,21 +161,20 @@ def test_non_finite_coefficient_rejected(kappa1):
 
 
 def test_load_vector_matches_block_system(benchmark_problem):
-    # F is the FEM load F_F followed by the enrichment load F_E
+    # F is the FEM load followed by the enrichment load
     _, _, prob = benchmark_problem
     mesh = build_uniform_mesh(10, prob.gamma)
     space = build_space(mesh, 2)
     sys_ = assemble(space, prob)
-    F_F, F_E = sys_.F_F, sys_.F_E
+    F_F, F_E = sys_.F[:space.n_fem], sys_.F[space.n_fem:]
     assert F_F.shape == (space.n_fem,) and F_E.shape == (space.n_enr,)
-    np.testing.assert_allclose(sys_.F, np.concatenate([F_F, F_E]))
 
 
 def test_load_requires_source():
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
     space = build_space(mesh, 1)
     sys_ = assemble(space, InterfaceProblem(gamma=mesh.gamma))
-    assert sys_.F is None and sys_.F_F is None and sys_.F_E is None
+    assert sys_.F is None
 
 
 def test_quadratic_solve_is_exact_for_parabola():

@@ -1,5 +1,6 @@
 """Nodal basis, enrichment function, and enriched-space representation."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -12,8 +13,8 @@ import sgfem1d.basis
 from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
-from sgfem1d.basis import (_lagrange, lagrange_all, panel_basis, reference_enrichment,
-                           reference_tables)
+from sgfem1d.basis import (EnrichedSpace, _lagrange, lagrange_all, panel_basis,
+                           reference_enrichment, reference_tables)
 from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
                                 OutOfDomainError)
 from sgfem1d.quadrature import composite_rule, panels
@@ -126,6 +127,29 @@ def test_invalid_degree_rejected():
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
     with pytest.raises(InvalidArgumentError):
         build_space(mesh, 0)
+
+
+@pytest.mark.parametrize("gamma", [1.0 / 3.0, 0.5, 0.01, 0.99])
+@pytest.mark.parametrize("enrich", [False, True])
+def test_counts_are_derived_from_the_space(gamma, enrich):
+    # a space stores p, mesh and enriched_set only: no constructor can be
+    # given counts that disagree with them
+    mesh = build_uniform_mesh(10, gamma)
+    space = build_space(mesh, 3, enrich=enrich)
+    assert [f.name for f in dataclasses.fields(space)] == ["p", "mesh", "enriched_set"]
+    assert space.n_fem == 3 * 10 - 1
+    assert space.n_enr == len(space.enriched_set)
+    assert space.enriched == (enrich and not mesh.fitting) == (space.n_enr > 0)
+    assert all(1 <= g <= space.n_fem for g in space.enriched_set)
+    with pytest.raises(TypeError):
+        EnrichedSpace(p=3, mesh=mesh, enriched_set=(), n_fem=29)
+
+
+def test_fem_basis_index_out_of_range():
+    space = build_space(build_uniform_mesh(10, 1.0 / 3.0), 2)
+    for j in (0, space.n_fem + 1):
+        with pytest.raises(IndexError, match="outside 1..19"):
+            eval_fem_basis(space, j, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +268,13 @@ def test_representation_polynomial_input_needs_no_enrichment():
 def test_representation_invalid_nu():
     with pytest.raises(InvalidArgumentError):
         represent_piecewise_poly([0.0, 1.0], [0.0, 1.0], 0.0, 1)
+
+
+@pytest.mark.parametrize("a, b", [([0.0, 1.0, 2.0], [0.0, 1.0]),
+                                  ([0.0, 1.0], [0.0])])
+def test_representation_coefficient_length(a, b):
+    with pytest.raises(InvalidArgumentError, match="length p\\+1"):
+        represent_piecewise_poly(a, b, 0.5, 1)
 
 
 @settings(max_examples=80)

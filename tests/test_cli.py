@@ -72,6 +72,26 @@ def test_bad_arguments_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, config, message", [
+    (["eigen"], "outputs = eigenfunction\n", "unknown outputs"),
+    (["eigen", "--methods", "FEM,FEM"], None, "methods repeat"),
+    (["source", "--methods", "fem,FEM"], None, "methods repeat"),
+    (["source", "--N", "10,10,20"], None, "strictly ascending"),
+    (["source", "--p", "1,1"], None, "degrees repeat"),
+    (["eigen", "--eigs", "1,4,1"], None, "eigen_indices repeat"),
+], ids=["outputs-typo", "methods", "methods-case", "N", "p", "eigs"])
+def test_repeated_or_unknown_config_entries_exit_2(tmp_path, capsys, argv, config,
+                                                   message):
+    # each of these used to exit 0, writing no eigenfunction rows or every
+    # row twice
+    if config is not None:
+        (tmp_path / "sweep.cfg").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "sweep.cfg")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_numerical_failure_exit_3(capsys):
     # negative coefficient passes argument parsing but fails numerically
     code = main(["eigen", "--gamma", "0.5", "--eta", "-2.0",

@@ -1,6 +1,8 @@
 """SPD solves, generalized eigenpairs and scaled condition numbers in band
 storage, against dense references."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -137,6 +139,55 @@ NONSYMMETRIC = np.array([[2.0, 1.0], [0.0, 2.0]])
 def test_nonsymmetric_input_is_rejected(call):
     with pytest.raises(InvalidArgumentError):
         call(NONSYMMETRIC)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", [
+    lambda A: solve_spd(A, np.ones(2)),
+    lambda A: generalized_eigs(A, np.eye(2), 1),
+    lambda A: generalized_eigs(2.0 * np.eye(2), A, 1),
+    scaled_condition_number,
+], ids=["solve_spd", "generalized_eigs-K", "generalized_eigs-M",
+        "scaled_condition_number"])
+def test_non_finite_input_is_rejected_without_a_warning(call, bad):
+    # NaN and inf used to be reported as "matrix must be symmetric", inf
+    # with numpy's RuntimeWarning (invalid value in subtract)
+    A = np.array([[2.0, 1.0], [1.0, bad]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="matrix must be finite"):
+            call(A)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_symmetry_tolerance_is_relative_to_the_largest_entry(scale):
+    # asymmetry up to 1e-12 of each entry plus 1e-12 of the largest passes
+    A = scale * np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    B = A.copy()
+    B[0, 1] += 0.9 * 1e-12 * max(1.0, 4.0 * scale)
+    assert solve_spd(B, np.ones(3)).shape == (3,)
+    B[0, 1] += 3e-12 * max(1.0, 4.0 * scale)
+    with pytest.raises(InvalidArgumentError, match="symmetric"):
+        solve_spd(B, np.ones(3))
+
+
+def test_mass_matrix_of_another_size_is_rejected():
+    with pytest.raises(InvalidArgumentError, match="matrix must be 3x3"):
+        generalized_eigs(np.eye(3), np.eye(4), 1)
+
+
+def test_right_hand_side_of_another_length_is_rejected():
+    with pytest.raises(InvalidArgumentError, match="right-hand side has 4 rows"):
+        solve_spd(np.eye(3), np.ones(4))
+
+
+def test_band_product_rejects_a_mismatched_shape(small_sgfem_system):
+    _, system = small_sgfem_system
+    n = system.K.shape[0]
+    with pytest.raises(ValueError, match="matmul"):
+        system.K @ np.ones(n + 1)
+    with pytest.raises(ValueError, match="matmul"):
+        np.ones((2, n - 1)) @ system.K
 
 
 @pytest.mark.parametrize("call", [

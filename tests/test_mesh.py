@@ -1,5 +1,7 @@
 """Mesh construction, interface element location, fitting detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,13 @@ def test_nodes_cover_unit_interval():
     assert m.N == 10
     assert m.h == pytest.approx(0.1)
     np.testing.assert_allclose(np.diff(m.nodes), m.h, rtol=1e-14)
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 10, 640])
+def test_element_size_is_derived_from_N(N):
+    m = build_uniform_mesh(N, 1.0 / 3.0)
+    assert m.h == 1.0 / N
+    assert "h" not in [f.name for f in dataclasses.fields(m)]
 
 
 def test_interface_element_nonfitting():

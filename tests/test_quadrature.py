@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sgfem1d import build_uniform_mesh, gauss_rule, integrate_piecewise
 from sgfem1d.exceptions import InvalidArgumentError
-from sgfem1d.quadrature import panel_list
+from sgfem1d.quadrature import panel_list, sample
 
 
 @pytest.mark.parametrize("n", range(1, 31))
@@ -91,3 +91,20 @@ def test_integrate_sine_any_mesh(N, gamma):
     m = build_uniform_mesh(N, gamma)
     got = integrate_piecewise(lambda x: np.sin(np.pi * x), m, 8)
     assert got == pytest.approx(2.0 / np.pi, abs=1e-12)
+
+
+def test_sample_reshapes_an_array_result_like_x():
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    calls = []
+    y = sample(lambda t: calls.append(t.shape) or np.sin(t), x)
+    assert calls == [(12,)]  # one call on the flattened points
+    assert y.shape == (3, 4)
+    np.testing.assert_array_equal(y, np.sin(x))
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.5), np.array(2.5), np.array([2.5])])
+def test_sample_broadcasts_a_scalar_result_to_x(value):
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    y = sample(lambda t: value, x)
+    assert y.shape == (3, 4) and y.dtype == float
+    np.testing.assert_array_equal(y, np.full((3, 4), 2.5))

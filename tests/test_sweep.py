@@ -1,5 +1,6 @@
 """Sweep driver, report serialization, config parsing, determinism."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from sgfem1d import (Report, SweepConfig, emit_report, run_cond_sweep,
                      run_eigen_sweep, run_source_sweep)
 from sgfem1d import sweep
 from sgfem1d.errors import fit_rate
-from sgfem1d.exceptions import InvalidArgumentError
+from sgfem1d.exceptions import EigenvalueMismatchError, InvalidArgumentError
 from sgfem1d.sweep import load_config, parse_csv, report_csv, report_markdown
 
 
@@ -30,6 +31,7 @@ def small_eigen_report():
 
 def test_source_sweep_rows_and_rates(small_source_report):
     rep = small_source_report
+    assert rep.metadata["gamma"] == 1.0 / 3.0 and rep.metadata["eta"] == 4.0
     # 1 degree x 3 levels x 2 methods x 2 quantities
     assert len(rep.rows) == 12
     assert (1, "SGFEM", "h1_semi_u") in rep.rates
@@ -68,6 +70,31 @@ def test_validation_errors():
         run_source_sweep(SweepConfig(problem="eigen"))
     with pytest.raises(InvalidArgumentError):
         run_eigen_sweep(SweepConfig(problem="source"))
+    # each of these but the first used to pass: a misspelt output wrote no
+    # eigenfunction rows, and a repeated degree, method or N wrote its rows twice
+    for fields, message in [({"eigen_indices": (0, 1)}, "eigen indices are 1-based"),
+                            ({"outputs": ("eigenfunction",)}, "unknown outputs"),
+                            ({"outputs": ("eigenfunctions", "plots")}, "unknown outputs"),
+                            ({"degrees": (1, 2, 1)}, "degrees repeat"),
+                            ({"methods": ("FEM", "FEM")}, "methods repeat"),
+                            ({"eigen_indices": (1, 4, 4)}, "eigen_indices repeat"),
+                            ({"Ns": (10, 10, 20)}, "strictly ascending"),
+                            ({"Ns": (10, 20, 20)}, "strictly ascending")]:
+        with pytest.raises(InvalidArgumentError, match=message):
+            SweepConfig(problem="eigen", **fields).validate()
+
+
+def test_close_exact_eigenvalues_are_rejected(monkeypatch):
+    pairs = sweep.solve_matching_system(1.0 / 3.0, 4.0, 3)
+    close = [pairs[0], dataclasses.replace(pairs[1], lam=1.005 * pairs[0].lam), pairs[2]]
+    monkeypatch.setattr(sweep, "solve_matching_system", lambda gamma, eta, count: close)
+    cfg = SweepConfig(problem="eigen", case="case2", degrees=(1,), Ns=(10,),
+                      eigen_indices=(1,))
+    with pytest.raises(EigenvalueMismatchError, match="1 and 2 closer than 1%"):
+        run_eigen_sweep(cfg)
+    cfg.eigen_indices = (2,)
+    with pytest.raises(EigenvalueMismatchError, match="2 and 1 closer than 1%"):
+        run_eigen_sweep(cfg)
 
 
 def test_csv_round_trip(small_source_report):
