@@ -55,7 +55,7 @@ def build_uniform_mesh(N, gamma):
     nodes.setflags(write=False)
 
     j_near = int(round(gamma * N))
-    fitting = abs(gamma - j_near * (1.0 / N)) < FITTING_TOL
+    fitting = abs(gamma - j_near * (1.0 / N)) < FITTING_TOL  # node j_near at j_near h
     # fitting: the element to the left of the coinciding node
     r = max(j_near, 1) if fitting else _element(nodes, gamma)
     return Mesh1D(N=N, nodes=nodes, gamma=float(gamma), r=r, fitting=fitting)
