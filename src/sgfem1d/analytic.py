@@ -18,9 +18,6 @@ import numpy as np
 
 from .exceptions import ConvergenceFailureError, InvalidArgumentError
 
-_SCAN_BLOCK = 2**16  # root scan grid points held at a time (a few MB)
-
-
 @dataclass(frozen=True)
 class ExactEigenpair:
     """One root of the matching system: lambda = eta * omega1**2."""
@@ -71,11 +68,13 @@ def _matching_F(w, gamma, rho):
 def solve_matching_system(gamma, eta, count):
     """The `count` smallest eigenpairs for the interface data (gamma, eta).
 
-    By domain monotonicity (sines supported on one side only),
-    omega1_n <= n pi min(1/(1 - gamma), 1/(rho gamma)), so the matching
-    function is sampled in blocks up to that bound until `count` sign changes
-    are seen; these are refined by false position and the amplitude d follows
-    from the matching relation with the better-conditioned denominator.
+    With t0 = rho omega1 gamma, the matching function is R sin(Theta) for
+    R = sqrt(cos(t0)**2 + rho**2 sin(t0)**2) > 0 and the increasing Pruefer
+    phase Theta = phi(t0) + omega1 (1 - gamma), tan(phi) = rho tan(t0),
+    |phi(t) - t| < pi/2.  So with s = rho gamma + 1 - gamma the n-th root is
+    the only one in ((n - 1/2) pi / s, (n + 1/2) pi / s); these brackets are
+    refined by false position and the amplitude d follows from the matching
+    relation with the better-conditioned denominator.
     """
     if not 0.0 < gamma < 1.0:
         raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
@@ -84,25 +83,13 @@ def solve_matching_system(gamma, eta, count):
     if count < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     rho = np.sqrt(eta)
-    step = min(np.pi / (rho * 8.0), np.pi / 8.0) / max(gamma, 1.0 - gamma)
-    bound = count * np.pi * min(1.0 / (1.0 - gamma), 1.0 / (rho * gamma))
-    # step, 2 step, ... summed in order (the grid of a step-by-step scan),
-    # in blocks that each start from the last point of the one before
-    n, w, found = int(bound / step) + 1, np.array([step]), []
-    for start in range(1, n, _SCAN_BLOCK):
-        w = np.cumsum(np.append(w[-1], np.full(min(_SCAN_BLOCK, n - start), step)))
-        neg = np.signbit(_matching_F(w, gamma, rho))
-        lo = np.flatnonzero(neg[1:] != neg[:-1])
-        found += zip(w[lo], w[lo + 1])
-        if len(found) >= count:
-            break
-    if len(found) < count:
-        raise ConvergenceFailureError(
-            f"found {len(found)} of {count} matching roots below omega1 = {bound:.6g}"
-            f" (gamma={gamma}, eta={eta})")
-    # Illinois: secant steps in each bracket, F halved at an end kept twice
-    a, b = map(np.array, zip(*found[:count]))
+    s = rho * gamma + 1.0 - gamma
+    a, b = (np.arange(1, count + 1) + [[-0.5], [0.5]]) * np.pi / s
     fa, fb = _matching_F(a, gamma, rho), _matching_F(b, gamma, rho)
+    if (found := np.count_nonzero(np.signbit(fa) != np.signbit(fb))) < count:
+        raise ConvergenceFailureError(
+            f"found {found} of {count} matching roots (gamma={gamma}, eta={eta})")
+    # Illinois: secant steps in each bracket, F halved at an end kept twice
     while (wide := (np.abs(b - a) > 2.0**-50 * b) & (fb != 0.0)).any():  # 4 ulp
         x = np.where(wide, b - fb * (b - a) / (fb - fa), b)
         fx = _matching_F(x, gamma, rho)

@@ -71,13 +71,10 @@ class EnrichedSpace:
     enriched = property(lambda self: bool(self.enriched_set))
 
     def global_node_x(self, g):
-        """Coordinate of global node g (0 <= g <= p*N)."""
-        p, mesh = self.p, self.mesh
-        k, i = divmod(g, p)
-        if k == mesh.N:  # right domain boundary
-            return mesh.nodes[-1]
-        a, b = mesh.nodes[k], mesh.nodes[k + 1]
-        return a + (b - a) * i / p
+        """Coordinate of global node g (0 <= g <= p*N), or of each g of an array."""
+        k, i = np.divmod(g, self.p)
+        x = np.append(self.mesh.nodes, 1.0)  # g = p*N reads x[N] = 1.0
+        return x[k] + (x[k + 1] - x[k]) * i / self.p
 
     def element_dofs(self, k):
         """Global indices of the p+1 nodes of element k (1-based)."""
@@ -218,11 +215,8 @@ def build_interface_interpolant(u0, u1, space):
     if not space.enriched:
         raise InvalidArgumentError("space must be enriched (non-fitting mesh)")
 
-    u = lambda x: u0(x) if x < g else u1(x)
-    # the interior nodes as global_node_x computes them; u takes one at a time
-    k, i = np.divmod(np.arange(1, space.n_fem + 1), p)
-    lo, hi = mesh.nodes[k], mesh.nodes[k + 1]
-    uF = np.array([u(x) for x in lo + (hi - lo) * i / p])
+    u = lambda x: u0(x) if x < g else u1(x)  # one interior node at a time
+    uF = np.array([u(x) for x in space.global_node_x(np.arange(1, space.n_fem + 1))])
     r, (a, b) = mesh.r, mesh.element_bounds(mesh.r)
     h = b - a
 

@@ -195,6 +195,7 @@ def run_cond_sweep(p, Ns, gamma=1.0 / 3.0, eta=4.0, method="SGFEM"):
                             scaled_condition_number(assemble(space, prob).K))]
 
     cfg = SweepConfig(degrees=(p,), Ns=tuple(Ns), methods=(method,))
+    cfg.validate()
     report = _sweep(cfg, gamma, cell)
     if not report.rates:
         raise InsufficientDataError("need >= 3 distinct refinement levels")
@@ -285,8 +286,8 @@ CONFIG_KEYS = {
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an INI-style file plus CLI overrides (None
     values ignored), both keyed as CONFIG_KEYS.  An unknown key, a value
-    that does not parse, or a CASES name given with gamma or eta raises
-    InvalidArgumentError."""
+    that does not parse, a CASES name given with gamma or eta, or an eigen
+    key in a source sweep raises InvalidArgumentError."""
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -307,6 +308,9 @@ def load_config(path=None, overrides=None):
     if values.get("case") in CASES and clash:
         raise InvalidArgumentError(
             f"case = {values['case']} conflicts with {' and '.join(clash)}")
+    eigen_only = [k for k in ("case", "gamma", "eta", "eigs", "outputs") if k in values]
+    if values.get("problem", "source") == "source" and eigen_only:
+        raise InvalidArgumentError(f"a source sweep takes no {', '.join(eigen_only)}")
 
     cfg = SweepConfig()
     for key, text in values.items():

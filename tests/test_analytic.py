@@ -65,6 +65,8 @@ def test_invalid_arguments():
     (0.3788805936238925, 15.175383390373701),
     (0.05, 1e3),
     (0.95, 1e-3),
+    (1e-5, 1e12),
+    (1.0 - 1e-5, 1e-12),
 ])
 def test_roots_are_refined_to_rounding(gamma, eta):
     # false position stops at a 4-ulp bracket, so the matching function
@@ -144,7 +146,7 @@ def test_exact_function_vectorized_eval():
 
 
 def _certify(gamma, eta, count=9):
-    """Completeness and indexing of the roots, independent of the scan step:
+    """Completeness and indexing of the roots, independent of the brackets:
     by Sturm's oscillation theorem the n-th eigenfunction has exactly n - 1
     interior zeros, and each is L2-normalised."""
     pairs = solve_matching_system(gamma, eta, count)
@@ -185,7 +187,7 @@ def test_non_finite_arguments_rejected(gamma, eta):
 
 
 def test_missing_roots_raise(monkeypatch):
-    # a matching function without a sign change must not scan forever
+    # a bracket whose ends share a sign is reported, not refined
     monkeypatch.setattr(analytic, "_matching_F",
                         lambda w, gamma, rho: 1.0 + 0.0 * w)
     with pytest.raises(ConvergenceFailureError, match="found 0 of 3"):
@@ -193,8 +195,8 @@ def test_missing_roots_raise(monkeypatch):
 
 
 def test_extreme_contrast_scan_memory_is_bounded():
-    # gamma = 1e-5, eta = 1e12: a scan grid of 7.2e6 points (55 MB as one
-    # array), sampled block by block
+    # gamma = 1e-5, eta = 1e12: a scan grid would need 7.2e6 points (55 MB
+    # as one array); the closed-form brackets need none
     tracemalloc.start()
     try:
         pairs = solve_matching_system(1e-5, 1e12, 9)
@@ -207,10 +209,12 @@ def test_extreme_contrast_scan_memory_is_bounded():
     assert [p.index for p in pairs] == list(range(1, 10))
 
 
-@pytest.mark.parametrize("block", [1, 2, 7])
-def test_scan_blocks_do_not_move_roots(monkeypatch, block):
-    # each block restarts the running sum from the last point of the one
-    # before, so every grid point, and every root, is bit-identical
-    want = solve_matching_system(0.3, 5.0, 8)
-    monkeypatch.setattr(analytic, "_SCAN_BLOCK", block)
-    assert solve_matching_system(0.3, 5.0, 8) == want
+@pytest.mark.parametrize("gamma,eta", [(1e-5, 1e12), (1.0 - 1e-5, 1e-12)])
+def test_extreme_contrast_work_is_bounded(monkeypatch, gamma, eta):
+    # one bracket per root: the work does not grow with the contrast
+    points, F = [], analytic._matching_F
+    monkeypatch.setattr(analytic, "_matching_F",
+                        lambda w, g, r: points.append(np.size(w)) or F(w, g, r))
+    pairs = solve_matching_system(gamma, eta, 9)
+    assert [p.index for p in pairs] == list(range(1, 10))
+    assert sum(points) <= 40 * 9

@@ -123,6 +123,16 @@ def test_global_node_coordinates():
     assert space.global_node_x(5) == pytest.approx(0.1 + 2 * 0.1 / 3)
 
 
+@pytest.mark.parametrize("p,N,gamma", [(1, 7, 0.3), (3, 10, 1.0 / 3.0),
+                                       (4, 41, 1.0 / np.pi), (6, 160, 0.99)])
+def test_global_node_x_array_matches_scalar_calls(p, N, gamma):
+    space = build_space(build_uniform_mesh(N, gamma), p)
+    g = np.arange(p * N + 1)
+    want = np.array([space.global_node_x(int(j)) for j in g])
+    assert space.global_node_x(g).tobytes() == want.tobytes()
+    assert space.global_node_x(p * N) == 1.0
+
+
 def test_invalid_degree_rejected():
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
     with pytest.raises(InvalidArgumentError):

@@ -79,11 +79,17 @@ def test_bad_arguments_exit_2(capsys):
     (["source", "--N", "10,10,20"], None, "strictly ascending"),
     (["source", "--p", "1,1"], None, "degrees repeat"),
     (["eigen", "--eigs", "1,4,1"], None, "eigen_indices repeat"),
-], ids=["outputs-typo", "methods", "methods-case", "N", "p", "eigs"])
+    (["source"], "gamma = 0.4\n", "source sweep takes no gamma"),
+    (["source"], "eta = 9\n", "source sweep takes no eta"),
+    (["source"], "case = case3\n", "source sweep takes no case"),
+    (["source"], "eigs = 2\n", "source sweep takes no eigs"),
+    (["source"], "outputs = eigenfunctions\n", "source sweep takes no outputs"),
+], ids=["outputs-typo", "methods", "methods-case", "N", "p", "eigs",
+        "source-gamma", "source-eta", "source-case", "source-eigs", "source-outputs"])
 def test_repeated_or_unknown_config_entries_exit_2(tmp_path, capsys, argv, config,
                                                    message):
-    # each of these used to exit 0, writing no eigenfunction rows or every
-    # row twice
+    # each of these used to exit 0, writing no eigenfunction rows, every
+    # row twice, or source rows that ignore an eigen key
     if config is not None:
         (tmp_path / "sweep.cfg").write_text(config)
         argv = argv + ["--config", str(tmp_path / "sweep.cfg")]
@@ -141,6 +147,11 @@ def test_cond_needs_three_levels(capsys):
     assert "3 distinct" in capsys.readouterr().err
     assert main(["cond", "--N-list", "20,40,40"]) == 2
     capsys.readouterr()
+    # a repeated or descending list used to print its rows and a slope
+    for ns in ("20,20,40,80", "80,40,20"):
+        assert main(["cond", "--N-list", ns]) == 2
+        captured = capsys.readouterr()
+        assert "strictly ascending" in captured.err and captured.out == ""
 
 
 def test_case_conflicts_with_gamma_or_eta(capsys):
