@@ -48,11 +48,6 @@ def _lagrange(p, t):
     return pre * suf / denom, ders - np.add.reduce(ders, 0) / (p + 1)
 
 
-def lagrange_all(p, t, deriv=0):
-    """The values (deriv=0) or the first derivatives of _lagrange."""
-    return _lagrange(p, t)[1 if deriv else 0]
-
-
 @dataclass(frozen=True)
 class EnrichedSpace:
     """Degree-p approximation space on a mesh, optionally SGFEM-enriched.
@@ -135,7 +130,7 @@ def eval_fem_basis(space, j, x, deriv=0):
     if not 0 <= i <= p:
         return 0.0
     a, b = mesh.element_bounds(k)
-    v = lagrange_all(p, (x - a) / (b - a), deriv)[i]
+    v = _lagrange(p, (x - a) / (b - a))[1 if deriv else 0][i]
     return float(v / (b - a) if deriv else v)
 
 

@@ -17,7 +17,7 @@ from .densela import generalized_eigs
 from .errors import align_eigenfunction
 from .exceptions import InsufficientDataError, InvalidArgumentError, SgfemError
 from .mesh import build_uniform_mesh
-from .sweep import comma_list, emit_report, load_config, run_cond_sweep
+from .sweep import CONFIG_KEYS, comma_list, emit_report, load_config, run_cond_sweep
 
 
 def build_parser():
@@ -29,8 +29,8 @@ def build_parser():
     eig = sub.add_parser("eigen", help="interface eigenvalue sweep")
     for sp in (src, eig):
         sp.add_argument("--config", default=None)
-        sp.add_argument("--p", default=None, help="comma list of degrees")
-        sp.add_argument("--N", default=None, help="comma list of element counts")
+        sp.add_argument("--p", dest="degrees", metavar="P", help="comma list of degrees")
+        sp.add_argument("--N", dest="ns", metavar="N", help="comma list of element counts")
         sp.add_argument("--methods", default=None, help="fem,sgfem")
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", choices=("csv", "markdown"), default="csv")
@@ -41,7 +41,8 @@ def build_parser():
     eig.add_argument("--eigs", default=None, help="comma list of eigen indices")
     eig.add_argument("--gamma", default=None, type=float)
     eig.add_argument("--eta", default=None, type=float)
-    eig.add_argument("--with-eigenfunctions", action="store_true")
+    eig.add_argument("--with-eigenfunctions", dest="outputs", action="store_const",
+                     const="eigenfunctions")
     eig.add_argument("--dump-function", default=None, metavar="PATH",
                      help="write (x, u_h, u) samples on a 1000-point grid")
     eig.add_argument("--dump-index", default=1, type=int)
@@ -117,23 +118,12 @@ def main(argv=None):
             print(f"# log-log slope vs 1/h: {slope:.3f}")
             return 0
 
-        overrides = {"problem": args.command, "degrees": args.p, "ns": args.N,
-                     "methods": args.methods}
-        if args.command == "source":
-            cfg = load_config(args.config, overrides)
-            report = sweep_mod.run_source_sweep(cfg)
-        else:
-            if args.case is not None and (args.gamma, args.eta) != (None, None):
-                raise InvalidArgumentError("give either --case or --gamma/--eta")
-            overrides.update(eigs=args.eigs, gamma=args.gamma, eta=args.eta)
-            if args.case is not None:
-                overrides["case"] = "case2" if args.case == "1" else "case3"
-            if (args.gamma, args.eta) != (None, None):
-                overrides["case"] = "custom"
-            if args.with_eigenfunctions:
-                overrides["outputs"] = "eigenfunctions"
-            cfg = load_config(args.config, overrides)
-            report = sweep_mod.run_eigen_sweep(cfg)
+        flags = {**vars(args), "problem": args.command}
+        if flags.get("case") and (args.gamma, args.eta) != (None, None):
+            raise InvalidArgumentError("give either --case or --gamma/--eta")
+        flags["case"] = {"1": "case2", "2": "case3"}.get(flags.get("case"))
+        cfg = load_config(args.config, {key: flags.get(key) for key in CONFIG_KEYS})
+        report = getattr(sweep_mod, f"run_{cfg.problem}_sweep")(cfg)
         gamma, eta = report.metadata["gamma"], report.metadata["eta"]
         if args.command == "eigen" and args.dump_function is not None:
             _dump_function(cfg, gamma, eta, args.dump_index, args.dump_function)

@@ -285,9 +285,10 @@ CONFIG_KEYS = {
 
 def load_config(path=None, overrides=None):
     """Build a SweepConfig from an INI-style file plus CLI overrides (None
-    values ignored), both keyed as CONFIG_KEYS.  An unknown key, a value
-    that does not parse, a CASES name given with gamma or eta, or an eigen
-    key in a source sweep raises InvalidArgumentError."""
+    values ignored, each replacing its key; a gamma or eta override edits a
+    case the file names alone), both keyed as CONFIG_KEYS.  An unknown key,
+    a value that does not parse, a CASES name given with gamma or eta, or an
+    eigen key in a source sweep raises InvalidArgumentError."""
     values = {}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -302,9 +303,12 @@ def load_config(path=None, overrides=None):
             msg = re.sub(r"\[line +(\d+)\]",
                          lambda m: f"[line {int(m[1]) - added:2d}]", str(exc))
             raise InvalidArgumentError(f"unreadable config {path}: {msg}") from None
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    clash = [k for k in ("gamma", "eta") if k in values]
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    coeffs = ("gamma", "eta")
+    if values.get("case") in CASES and flags.keys() & coeffs and not values.keys() & coeffs:
+        values.update(CASES[values.pop("case")])
+    values.update(flags)
+    clash = [k for k in coeffs if k in values]
     if values.get("case") in CASES and clash:
         raise InvalidArgumentError(
             f"case = {values['case']} conflicts with {' and '.join(clash)}")

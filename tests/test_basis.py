@@ -13,8 +13,8 @@ import sgfem1d.basis
 from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
-from sgfem1d.basis import (EnrichedSpace, _lagrange, lagrange_all, panel_basis,
-                           reference_enrichment, reference_tables)
+from sgfem1d.basis import (EnrichedSpace, _lagrange, panel_basis, reference_enrichment,
+                           reference_tables)
 from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
                                 OutOfDomainError)
 from sgfem1d.quadrature import composite_rule, panels
@@ -28,16 +28,16 @@ polyval = np.polynomial.polynomial.polyval
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_partition_of_unity(p):
     t = np.linspace(0.0, 1.0, 57)
-    vals = lagrange_all(p, t, 0)
+    vals = _lagrange(p, t)[0]
     np.testing.assert_allclose(vals.sum(axis=0), 1.0, atol=1e-12)
-    ders = lagrange_all(p, t, 1)
+    ders = _lagrange(p, t)[1]
     np.testing.assert_allclose(ders.sum(axis=0), 0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_kronecker_delta_at_nodes(p):
     ts = np.linspace(0.0, 1.0, p + 1)
-    vals = lagrange_all(p, ts, 0)
+    vals = _lagrange(p, ts)[0]
     np.testing.assert_allclose(vals, np.eye(p + 1), atol=1e-13)
 
 
@@ -45,8 +45,8 @@ def test_kronecker_delta_at_nodes(p):
 def test_shape_derivative_vs_finite_difference(p):
     t = np.linspace(0.05, 0.95, 19)
     eps = 1e-6
-    fd = (lagrange_all(p, t + eps, 0) - lagrange_all(p, t - eps, 0)) / (2 * eps)
-    np.testing.assert_allclose(lagrange_all(p, t, 1), fd, atol=1e-7)
+    fd = (_lagrange(p, t + eps)[0] - _lagrange(p, t - eps)[0]) / (2 * eps)
+    np.testing.assert_allclose(_lagrange(p, t)[1], fd, atol=1e-7)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -54,7 +54,7 @@ def test_degree_p_polynomial_reproduced(p):
     # nodal combination of shape functions reproduces t^p
     t = np.linspace(0.0, 1.0, 33)
     nodes = np.linspace(0.0, 1.0, p + 1)
-    combo = (nodes[:, None] ** p * lagrange_all(p, t, 0)).sum(axis=0)
+    combo = (nodes[:, None] ** p * _lagrange(p, t)[0]).sum(axis=0)
     np.testing.assert_allclose(combo, t**p, atol=1e-12)
 
 
@@ -89,9 +89,9 @@ def test_lagrange_equals_the_loop_recurrence_bit_for_bit(p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 def test_lagrange_at_a_scalar_matches_a_one_point_array(p):
     for deriv in (0, 1):
-        got = lagrange_all(p, 0.3, deriv)
+        got = _lagrange(p, 0.3)[deriv]
         assert got.shape == (p + 1,)
-        assert np.array_equal(got, lagrange_all(p, np.array([0.3]), deriv)[:, 0])
+        assert np.array_equal(got, _lagrange(p, np.array([0.3]))[deriv][:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -294,3 +294,58 @@ def test_case_flag_conflicts_with_config_gamma(tmp_path, capsys):
     assert main(["eigen", "--case", "1", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "case2" in err and "gamma" in err
+
+
+_LADDER = {"degrees": "1", "ns": "10,20", "methods": "sgfem", "eigs": "1"}
+
+
+@pytest.mark.parametrize("problem, flag, key, value", [
+    ("source", ["--p", "2"], "degrees", "2"),
+    ("source", ["--N", "20,40"], "ns", "20,40"),
+    ("source", ["--methods", "fem"], "methods", "fem"),
+    ("eigen", ["--p", "2"], "degrees", "2"),
+    ("eigen", ["--N", "20,40"], "ns", "20,40"),
+    ("eigen", ["--methods", "fem"], "methods", "fem"),
+    ("eigen", ["--eigs", "2"], "eigs", "2"),
+    ("eigen", ["--gamma", "0.3"], "gamma", "0.3"),
+    ("eigen", ["--eta", "9"], "eta", "9"),
+    ("eigen", ["--with-eigenfunctions"], "outputs", "eigenfunctions"),
+    ("eigen", ["--case", "2"], "case", "case3"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_each_flag_is_its_config_key(tmp_path, capsys, problem, flag, key, value):
+    # a flag and its config key run the same sweep, byte for byte
+    ladder = {k: v for k, v in _LADDER.items() if problem == "eigen" or k != "eigs"}
+
+    def run(argv, entries):
+        (tmp_path / "sweep.cfg").write_text(
+            "".join(f"{k} = {v}\n" for k, v in {"problem": problem, **entries}.items()))
+        assert main([problem, "--config", str(tmp_path / "sweep.cfg"), *argv]) == 0
+        return capsys.readouterr().out
+
+    from_key = run([], {**ladder, key: value})
+    from_flag = run(flag, {k: v for k, v in ladder.items() if k != key})
+    assert from_flag == from_key and from_key != run([], ladder)
+
+
+@pytest.mark.parametrize("flag, same", [
+    (["--eta", "9"], ["--gamma", str(1.0 / np.pi), "--eta", "9"]),
+    (["--gamma", "0.3"], ["--gamma", "0.3", "--eta", str(float(np.e) ** 2)]),
+], ids=["eta", "gamma"])
+def test_coefficient_flag_edits_the_config_case(tmp_path, capsys, flag, same):
+    # a flag used to replace the file's case by the default gamma or eta
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ncase = case3\n")
+    ladder = ["--p", "1", "--N", "10,20", "--methods", "sgfem", "--eigs", "1"]
+    assert main(["eigen", "--config", str(cfg), *flag, *ladder]) == 0
+    edited = capsys.readouterr().out
+    assert main(["eigen", *same, *ladder]) == 0
+    assert edited == capsys.readouterr().out
+
+
+def test_config_case_and_gamma_conflict_under_an_eta_flag(tmp_path, capsys):
+    # --eta used to hide the file's own case3 / gamma conflict
+    cfg = tmp_path / "eigen.cfg"
+    cfg.write_text("problem = eigen\ncase = case3\ngamma = 0.3\n")
+    assert main(["eigen", "--config", str(cfg), "--eta", "9"]) == 2
+    captured = capsys.readouterr()
+    assert "case3" in captured.err and "gamma" in captured.err and captured.out == ""
