@@ -23,19 +23,16 @@ from .quadrature import sample
 
 @dataclass
 class InterfaceProblem:
-    """Piecewise diffusion coefficient with interface at gamma and an
-    optional source term.  kappa0/kappa1 may be constants or callables."""
+    """Diffusion coefficient, the number kappa0 on [0, gamma] and the number
+    kappa1 on (gamma, 1], and an optional source term."""
 
     gamma: float
-    kappa0: object = 1.0
-    kappa1: object = 1.0
+    kappa0: float = 1.0
+    kappa1: float = 1.0
     source: Optional[Callable] = None
 
     def kappa(self, x):
-        x = np.asarray(x, dtype=float)
-        k0 = self.kappa0(x) if callable(self.kappa0) else self.kappa0
-        k1 = self.kappa1(x) if callable(self.kappa1) else self.kappa1
-        return np.where(x <= self.gamma, k0, k1)
+        return np.where(np.asarray(x, dtype=float) <= self.gamma, self.kappa0, self.kappa1)
 
 
 class BlockSystem:
@@ -81,6 +78,9 @@ def assemble(space, prob):
     present); the mass matrix is built when it is first read."""
     if abs(prob.gamma - space.mesh.gamma) > 1e-13:
         raise InvalidArgumentError("problem and mesh disagree on gamma")
+    if not all(0.0 < k < np.inf for k in (prob.kappa0, prob.kappa1)):
+        raise CoefficientNotPositiveError(
+            f"kappa = ({prob.kappa0}, {prob.kappa1}) not positive and finite")
     ndof = space.n_fem + space.n_enr
     F = None
     if prob.source is not None:
@@ -91,16 +91,11 @@ def assemble(space, prob):
         load = _flat(np.einsum("pfn,pn->pf", v, g[i]) for i, _, v, _ in q.runs)
         F = np.bincount(rows, load, minlength=ndof + 1)[1:]
     q = panel_basis(space, space.p + 2)
-    kap = sample(prob.kappa, q.x)
-    bad = ~((kap > 0.0) & (kap < np.inf))
-    if bad.any():
-        raise CoefficientNotPositiveError(
-            f"kappa = {kap[bad][0]} not positive and finite at x={q.x[bad][0]:.6g}")
     # K and M couple the rows that share a panel: every run's element
     # matrices, in panel order
     rows = [np.repeat(r[:, :, None], r.shape[1], 2) for _, r, _, _ in q.runs]
     order, band = _band_form(ndof, _flat(rows), _flat(r.transpose(0, 2, 1) for r in rows))
-    kw = kap * q.w
+    kw = prob.kappa(q.x) * q.w
     return BlockSystem(order, band(_flat(_gram(d, kw[i]) for i, _, _, d in q.runs)),
                        lambda: band(_flat(_gram(v, q.w[i]) for i, _, v, _ in q.runs)),
                        F, space.n_fem)

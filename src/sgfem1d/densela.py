@@ -192,8 +192,8 @@ def generalized_eigs(K, M, k):
     """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
     the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
     the band factor C or, for n <= 80 + 2k, by dense LAPACK, then refined by
-    one inverse-iteration and Rayleigh-Ritz step.  Eigenvectors are
-    M-orthonormal, and the entry of largest magnitude of each is positive."""
+    one inverse-iteration and Rayleigh-Ritz step.  Eigenvectors are M-orthonormal
+    (or it raises); the entry of largest magnitude of each is positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
@@ -218,9 +218,10 @@ def generalized_eigs(K, M, k):
     P = mct(Y)
     W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
     mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
-    if mu[0] <= 0.0:  # k near n on a numerically dependent basis
+    V = (W @ U)[:, ::-1] / np.sqrt(np.abs(mu[::-1]))  # band order
+    if mu[0] <= 0.0 or np.abs(V.T @ m(V) - np.eye(k)).max() > 1e-6:  # k near n
         raise NotPositiveDefiniteError("mass matrix: singular on the eigenvectors")
-    V = (W @ U)[np.argsort(order), ::-1] / np.sqrt(mu[::-1])  # natural order
+    V = V[np.argsort(order)]  # natural order
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
     return EigenSolution(values=1.0 / mu[::-1], vectors=V)
 

@@ -305,7 +305,8 @@ def load_config(path=None, overrides=None):
             raise InvalidArgumentError(f"unreadable config {path}: {msg}") from None
     flags = {k: v for k, v in (overrides or {}).items() if v is not None}
     coeffs = ("gamma", "eta")
-    if values.get("case") in CASES and flags.keys() & coeffs and not values.keys() & coeffs:
+    if (values.get("case") in CASES and "case" not in flags and flags.keys() & coeffs
+            and not values.keys() & coeffs):
         values.update(CASES[values.pop("case")])
     values.update(flags)
     clash = [k for k in coeffs if k in values]

@@ -37,15 +37,13 @@ def test_constant_kappa_scales_stiffness_only():
     np.testing.assert_allclose(s3.M, np.asarray(s1.M), rtol=1e-14)
 
 
-def test_callable_coefficient_accepted():
+def test_callable_coefficient_rejected():
+    # kappa0 and kappa1 are numbers; a function of x is not sampled
     mesh = build_uniform_mesh(10, 1.0 / 3.0)
     space = build_space(mesh, 1)
-    prob_c = InterfaceProblem(gamma=mesh.gamma,
-                              kappa0=lambda x: 2.0 + 0.0 * np.asarray(x),
-                              kappa1=lambda x: 5.0 + 0.0 * np.asarray(x))
-    prob_k = InterfaceProblem(gamma=mesh.gamma, kappa0=2.0, kappa1=5.0)
-    np.testing.assert_allclose(assemble(space, prob_c).K,
-                               assemble(space, prob_k).K, rtol=1e-14)
+    with pytest.raises(TypeError):
+        assemble(space, InterfaceProblem(gamma=mesh.gamma,
+                                         kappa1=lambda x: 5.0 + 0.0 * x))
 
 
 @pytest.mark.parametrize("p,method", [(1, "FEM"), (2, "SGFEM"), (3, "SGFEM")])
@@ -158,6 +156,15 @@ def test_non_finite_coefficient_rejected(kappa1):
     space = build_space(mesh, 1)
     with pytest.raises(CoefficientNotPositiveError):
         assemble(space, InterfaceProblem(gamma=mesh.gamma, kappa1=kappa1))
+
+
+def test_coefficient_error_names_both_numbers():
+    mesh = build_uniform_mesh(10, 1.0 / 3.0)
+    space = build_space(mesh, 1)
+    with pytest.raises(CoefficientNotPositiveError,
+                       match=r"kappa = \(1\.0, nan\) not positive and finite"):
+        assemble(space, InterfaceProblem(gamma=mesh.gamma, kappa0=1.0,
+                                         kappa1=float("nan")))
 
 
 def test_load_vector_matches_block_system(benchmark_problem):

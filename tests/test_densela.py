@@ -397,6 +397,19 @@ def test_k_near_n_on_a_dependent_basis_is_positive_or_raises(p, N, gamma):
         assert np.all(np.isfinite(sol.vectors))
 
 
+def test_pairs_that_are_not_m_orthonormal_raise():
+    # gamma = 0.31 is 0.01 h from a node at N = 29: cond(M) is 4.5e16, and at
+    # k = n and n - 1 the Rayleigh-Ritz pairs used to come back with
+    # max |V^T M V - I| of 1.6 and 4.2e-3; eight pairs fewer are still sound
+    _, system = _assemble(4, 29, 0.31, 4.0, True)
+    n = len(system.K)
+    for k in (n, n - 1):
+        with pytest.raises(NotPositiveDefiniteError, match="singular on the eigenvectors"):
+            generalized_eigs(system.K, system.M, k)
+    V = generalized_eigs(system.K, system.M, n - 8).vectors
+    assert np.abs(V.T @ (system.M @ V) - np.eye(n - 8)).max() <= 1e-6
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_scaled_condition_number_tiny_systems(n):
     A = _random_spd(n, 60 + n)

@@ -197,6 +197,17 @@ def test_load_config_rejects_invalid(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("coeff, value", [("gamma", "0.3"), ("eta", "9.0")])
+def test_case_override_conflict_names_only_the_given_coefficient(tmp_path, coeff, value):
+    # the file's case3 used to seed both gamma and eta before the clash check,
+    # so the error named a coefficient that was not given
+    path = tmp_path / "eigen.cfg"
+    path.write_text("problem = eigen\ncase = case3\n")
+    with pytest.raises(InvalidArgumentError) as info:
+        load_config(str(path), {"case": "case2", coeff: value})
+    assert str(info.value) == f"case = case2 conflicts with {coeff}"
+
+
 def test_load_config_rejects_unknown_case(tmp_path):
     # "cse3" used to run gamma=1/3, eta=4 as if no case were named
     path = tmp_path / "eigen.cfg"
