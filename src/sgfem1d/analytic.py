@@ -12,6 +12,7 @@ whose roots omega1 give the eigenvalues lambda = eta * omega1**2.
 """
 
 from dataclasses import dataclass
+from functools import partialmethod
 from typing import Callable
 
 import numpy as np
@@ -40,13 +41,15 @@ class ExactFunction:
     df0: Callable
     df1: Callable
 
-    def value(self, x):
+    def _sides(self, f0, f1, x):
+        """Field f0 at the x <= gamma and f1 at the others, each at its points only."""
         x = np.asarray(x, dtype=float)
-        return np.where(x <= self.gamma, self.f0(x), self.f1(x))
+        left, out = x <= self.gamma, np.empty(x.shape)
+        out[left], out[~left] = getattr(self, f0)(x[left]), getattr(self, f1)(x[~left])
+        return out
 
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= self.gamma, self.df0(x), self.df1(x))
+    value = partialmethod(_sides, "f0", "f1")
+    deriv = partialmethod(_sides, "df0", "df1")
 
 
 def _piecewise_sine(gamma, a0, w0, a1, w1):
@@ -89,15 +92,15 @@ def solve_matching_system(gamma, eta, count):
     if (found := np.count_nonzero(np.signbit(fa) != np.signbit(fb))) < count:
         raise ConvergenceFailureError(
             f"found {found} of {count} matching roots (gamma={gamma}, eta={eta})")
-    # Illinois: secant steps in each bracket, F halved at an end kept twice
-    while (wide := (np.abs(b - a) > 2.0**-50 * b) & (fb != 0.0)).any():  # 4 ulp
-        x = np.where(wide, b - fb * (b - a) / (fb - fa), b)
+    # Illinois: secant steps in brackets wider than 4 ulp, F halved at an end kept twice
+    roots, i = b.copy(), np.arange(count)
+    while (wide := (np.abs(b - a) > 2.0**-50 * b) & (fb != 0.0)).any():
+        i, a, b, fa, fb = i[wide], a[wide], b[wide], fa[wide], fb[wide]
+        x = b - fb * (b - a) / (fb - fa)
         fx = _matching_F(x, gamma, rho)
         keep = np.signbit(fx) == np.signbit(fb)
         a, fa = np.where(keep, a, b), np.where(keep, 0.5 * fa, fb)
-        b, fb = x, fx
-    roots = b
-
+        roots[i], b, fb = x, x, fx
     t0, t1 = rho * roots * gamma, roots * (gamma - 1.0)
     big = np.abs(np.sin(t1)) >= np.abs(rho * np.cos(t1))
     d = np.where(big, np.sin(t0) / np.sin(t1), np.cos(t0) / (rho * np.cos(t1)))

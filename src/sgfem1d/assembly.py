@@ -3,11 +3,12 @@
 All integrals use panel-wise Gauss quadrature split at the interface
 (basis.panel_basis), so every integrand is a (piecewise) polynomial on
 each panel; p+2 points per panel integrate the enrichment products
-exactly.  The element matrices come from one contraction per run of
-panels (each at the width of the functions living on it), joined in panel
-order and summed by one scatter straight into LAPACK lower band storage, in
-the row order the solver factors in, held as densela.BandMatrix objects:
-O(ndof) memory, and a dense matrix only where np.asarray asks for one.
+exactly.  A whole element's matrices depend only on its size and side of
+gamma, so there is one per distinct pair; with the two panels at gamma they
+are joined in panel order and summed by one scatter straight into LAPACK
+lower band storage, in the row order the solver factors in, held as
+densela.BandMatrix objects: O(ndof) memory, and a dense matrix only where
+np.asarray asks for one.
 """
 
 from dataclasses import dataclass
@@ -68,9 +69,9 @@ def _gram(f, weight):
     return 0.5 * (E + E.transpose(0, 2, 1))
 
 
-def _flat(arrays):
-    """The entries of the arrays, in order, as one flat array."""
-    return np.concatenate([a.ravel() for a in arrays])
+def _in_panel_order(whole, gamma, at):
+    """whole's per-panel entries, gamma's for the panels at gamma (slice at), flat."""
+    return np.concatenate([a.ravel() for a in (whole[:at.start], gamma, whole[at.stop:])])
 
 
 def assemble(space, prob):
@@ -87,15 +88,20 @@ def assemble(space, prob):
         # the source term need not be polynomial, so the load uses a finer rule
         q = panel_basis(space, space.p + 6)
         g = q.w * sample(prob.source, q.x)
-        rows = _flat(r for _, r, _, _ in q.runs) + 1  # bin 0 takes row -1
-        load = _flat(np.einsum("pfn,pn->pf", v, g[i]) for i, _, v, _ in q.runs)
-        F = np.bincount(rows, load, minlength=ndof + 1)[1:]
+        at, rows, vals, _ = q.gamma
+        load = np.einsum("pfn,pn->pf", vals, g[at])
+        F = np.bincount(_in_panel_order(q.rows, rows, at) + 1,  # bin 0 takes row -1
+                        _in_panel_order(g @ q.vals.T, load, at), minlength=ndof + 1)[1:]
     q = panel_basis(space, space.p + 2)
-    # K and M couple the rows that share a panel: every run's element
-    # matrices, in panel order
-    rows = [np.repeat(r[:, :, None], r.shape[1], 2) for _, r, _, _ in q.runs]
-    order, band = _band_form(ndof, _flat(rows), _flat(r.transpose(0, 2, 1) for r in rows))
-    kw = prob.kappa(q.x) * q.w
-    return BlockSystem(order, band(_flat(_gram(d, kw[i]) for i, _, _, d in q.runs)),
-                       lambda: band(_flat(_gram(v, q.w[i]) for i, _, v, _ in q.runs)),
-                       F, space.n_fem)
+    (at, rows, vals, ders), (first, key) = q.gamma, space.panel_layout[6:]
+    # K and M couple the rows sharing a panel; one element matrix per size and side
+    pattern = [np.repeat(r[:, :, None], r.shape[1], 2) for r in (q.rows, rows)]
+    i = _in_panel_order(*pattern, at)
+    j = _in_panel_order(*(a.transpose(0, 2, 1) for a in pattern), at)
+    del pattern  # before the scatter builds its index arrays
+    order, band = _band_form(ndof, i, j)
+    w, wg, lagrange = q.w[first], q.w[at].copy(), q.vals[None]  # M's, kept small
+    K = _in_panel_order(_gram(q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w)[key],
+                        _gram(ders, prob.kappa(q.x[at]) * wg), at)
+    return BlockSystem(order, band(K), lambda: band(_in_panel_order(
+        _gram(lagrange, w)[key], _gram(vals, wg), at)), F, space.n_fem)

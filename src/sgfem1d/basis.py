@@ -80,24 +80,35 @@ class EnrichedSpace:
         """The (p+4)-point PanelBasis of the error norms and the alignment,
         built on first use and shared, read-only, by every later call."""
         q = panel_basis(self, self.p + 4)
-        for a in (q.x, q.w, *(a for run in q.runs for a in run[1:])):
+        for a in (q.x, q.w, *q.gamma[2:]):
             a.setflags(write=False)
         return q
 
     @cached_property  # kept in the instance __dict__: freed with the space
     def panel_layout(self):
-        """What every panel_basis call shares, read-only: the panel ends lo,
-        hi, followed off a node by those of [0, nu] and [nu, 1]; each panel's
-        table (0: whole element, 1 and 2: the sides of gamma); the _layout."""
-        elements, edges = panels(self.mesh)
-        layout, which = _layout(self, elements), np.zeros(len(elements), dtype=int)
-        lo, hi, nu = edges[:-1], edges[1:], layout[2]
-        if not self.mesh.fitting:
+        """What every panel_basis call shares, read-only: the panel ends lo, hi,
+        followed off a node by those of [0, nu] and [nu, 1]; each panel's Lagrange
+        rows (-1: a Dirichlet boundary node) and element size h; the slice of the
+        panels at gamma and their rows, enrichment last; the first panel of each
+        distinct size (negated on the kappa1 side, 0 at gamma) and each panel's."""
+        mesh, p, nf, r = self.mesh, self.p, self.n_fem, self.mesh.r
+        elements, edges = panels(mesh)
+        g = (elements[:, None] - 1) * p + np.arange(p + 1)
+        rows, lo, hi = np.where(g <= nf, g - 1, -1), edges[:-1], edges[1:]
+        h = mesh.nodes[elements] - mesh.nodes[elements - 1]
+        at = slice(0, 0) if mesh.fitting else slice(r - 1, r + 1)
+        # every point of a whole element lies on its midpoint's side of gamma
+        signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
+        signed[at] = 0.0  # so the first panel of every other size is a whole element
+        _, first, key = np.unique(signed, return_index=True, return_inverse=True)
+        enr = nf + np.arange(self.n_enr)  # the enrichment rows
+        gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
+        if not mesh.fitting:
+            nu = (mesh.gamma - lo[r - 1]) / h[r - 1]  # in the element's [0, 1]
             lo, hi = np.concatenate([lo, (0.0, nu)]), np.concatenate([hi, (nu, 1.0)])
-            which[self.mesh.r - 1:self.mesh.r + 1] = (1, 2)
-        for a in (lo, hi, which, layout[1], *(run[1] for run in layout[0])):
+        for a in (lo, hi, rows, h, gamma_rows, first, key):
             a.setflags(write=False)
-        return lo, hi, which, layout
+        return lo, hi, rows, h, at, gamma_rows, first, key
 
 
 @dataclass
@@ -236,30 +247,27 @@ def build_interface_interpolant(u0, u1, space):
 
 @dataclass(frozen=True)
 class PanelBasis:
-    """Every basis function of a space on every integration panel, at the
-    panel's Gauss points: the batched quadrature kernel.
-
-    x, w : (panels, points) points and weights (w is None where the
-        points are not a quadrature rule, as in eval_solution)
-    runs : tuple of (index, rows, vals, ders), one per run of consecutive
-        panels with the same functions, in panel order: the element's p+1
-        Lagrange functions, and the n_enr enrichment functions after them on
-        the interface element's panels.  The slice index picks the run's
-        panels; rows (run panels, functions) holds global rows (FEM rows
-        first, -1 for a Dirichlet boundary node, to be dropped); vals, ders
-        (run panels, functions, points) are values and x-derivatives
-    """
+    """Every basis function of a space on every integration panel, at its n Gauss points x
+    with weights w, both (panels, n).  Whole elements read the shared reference_tables vals
+    and ders (p+1, n) through the layout's rows and h (ders / h: x-derivatives); gamma is
+    (index, rows, vals, ders): the panels at gamma (a slice), their rows and own tables."""
 
     x: np.ndarray
     w: np.ndarray
-    runs: tuple
+    rows: np.ndarray
+    h: np.ndarray
+    vals: np.ndarray
+    ders: np.ndarray
+    gamma: tuple
 
     def combine(self, dofs, deriv=0):
         """The function with coefficients dofs (or its derivative) at every
         point, shape (panels, points)."""
         c = np.concatenate([dofs.u_F, dofs.u_E, [0.0]])  # row -1 picks 0
-        return np.concatenate([np.einsum("pf,pfn->pn", c[rows], ders if deriv else vals)
-                               for _, rows, vals, ders in self.runs])
+        out = c[self.rows] @ self.ders / self.h if deriv else c[self.rows] @ self.vals
+        at, rows, vals, ders = self.gamma
+        out[at] = np.einsum("pf,pfn->pn", c[rows], ders if deriv else vals)
+        return out
 
 
 @cache  # at most 30 rules per degree, read-only, shared like gauss_rule
@@ -271,52 +279,32 @@ def reference_tables(p, n):
     return tables
 
 
-def _layout(space, elements):
-    """(runs, h, nu) for panels in the ascending 1-based elements: one (index,
-    rows, enr) per run, enr = (local, size) on a run with the enrichment; the
-    element sizes, shape (panels, 1, 1); gamma's reference point."""
-    mesh, p, nf, r = space.mesh, space.p, space.n_fem, space.mesh.r
-    g = (elements[:, None] - 1) * p + np.arange(p + 1)
-    rows = np.where(g <= nf, g - 1, -1)
-    runs, (a, b) = ((slice(None), rows, None),), mesh.element_bounds(r)
-    if space.n_enr:
-        lo, hi = np.searchsorted(elements, (r, r + 1))
-        local = np.array(space.enriched_set) - (r - 1) * p
-        enr = np.repeat(nf + np.arange(space.n_enr)[None], hi - lo, 0)
-        on = slice(lo, hi), np.concatenate([rows[lo:hi], enr], 1), (local, b - a)
-        before, after = ((i, rows[i], None) for i in (slice(0, lo), slice(hi, None)))
-        runs = tuple(run for run in (before, on, after) if len(run[1])) or (on,)
-    h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-    return runs, h[:, None, None], (mesh.gamma - a) / (b - a)
-
-
-def _basis_runs(runs, h, nu, t, lv, ld, which):
-    """PanelBasis.runs, one by one, of a _layout (runs, h, nu): panel i at table
-    which[i] of the points t, whose _lagrange tables lv, ld are (p+1, tables, n)."""
-    vals, ders = lv.transpose(1, 0, 2)[which], ld.transpose(1, 0, 2)[which] / h
-    for index, rows, enr in runs:
-        v, d = vals[index], ders[index]
-        if enr is not None:  # w = h * reference_enrichment, interface element only
-            tk, (local, size) = t[which[index]], enr
-            w = size * reference_enrichment(nu, tk)[:, None]
-            dw = reference_enrichment(nu, tk, 1)[:, None]
-            phi, dphi = v[:, local], d[:, local]
-            v, d = (np.concatenate([v, w * phi], 1),
-                    np.concatenate([d, dw * phi + w * dphi], 1))
-        yield index, rows, v, d
+def _enrichment(space, t, vals, ders):
+    """Values and x-derivatives, function axis first, of the enrichment functions w N_j at
+    points t of the interface element's [0, 1], from its Lagrange vals and x-ders there."""
+    mesh, local = space.mesh, np.array(space.enriched_set) - (space.mesh.r - 1) * space.p
+    (a, b), phi = mesh.element_bounds(mesh.r), vals[local]
+    nu = (mesh.gamma - a) / (b - a)
+    w, dw = (b - a) * reference_enrichment(nu, t), reference_enrichment(nu, t, 1)
+    return w * phi, dw * phi + w * ders[local]
 
 
 def panel_basis(space, n):
     """The n-point Gauss rule on every integration panel of the space's mesh
     (split at gamma off a node) and every basis function there, as a
     PanelBasis: only the two sides of gamma need tables of their own."""
-    lo, hi, which, layout = space.panel_layout
+    lo, hi, rows, h, at, gamma_rows = space.panel_layout[:6]
     x, w = composite_rule(lo, hi, n)
-    tables = reference_tables(space.p, n)
+    _, vals, ders = reference_tables(space.p, n)
+    gv = gd = np.empty((0, space.p + 1, n))
     if not space.mesh.fitting:  # the last two rows: the sides of gamma in [0, 1]
         x, w, t = x[:-2], w[:-2], x[-2:]
-        tables = [np.concatenate(a, -2) for a in zip(tables, (t, *_lagrange(space.p, t)))]
-    return PanelBasis(x, w, tuple(_basis_runs(*layout, *tables, which)))
+        gv, gd = _lagrange(space.p, t)
+        gd = gd / h[at, None]
+        if space.n_enr:
+            gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
+        gv, gd = gv.transpose(1, 0, 2), gd.transpose(1, 0, 2)
+    return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0], (at, gamma_rows, gv, gd))
 
 
 def eval_solution(space, dofs, x, deriv=0):
@@ -324,11 +312,13 @@ def eval_solution(space, dofs, x, deriv=0):
     point on a node belongs to the element on its left (x = 0 to the
     first); at gamma the derivative is the right limit."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    o = np.argsort(x, axis=None)  # sorted points make at most three runs
-    flat = x.ravel()[o, None]
-    elements = locate(space.mesh, flat[:, 0])
-    a, b = space.mesh.nodes[elements - 1, None], space.mesh.nodes[elements, None]
-    t = (flat - a) / (b - a)
-    runs = _basis_runs(*_layout(space, elements), t, *_lagrange(space.p, t), np.arange(len(t)))
-    q = PanelBasis(flat, None, tuple(runs))
-    return q.combine(dofs, deriv)[np.argsort(o), 0].reshape(x.shape)
+    mesh, p, k = space.mesh, space.p, locate(space.mesh, x.ravel())
+    c = np.concatenate([dofs.u_F, dofs.u_E, [0.0]])  # row -1 picks 0
+    a, b = mesh.nodes[k - 1], mesh.nodes[k]
+    vals, ders = _lagrange(p, t := (x.ravel() - a) / (b - a))
+    ders, g = ders / (b - a), (k - 1) * p + np.arange(p + 1)[:, None]
+    out = np.sum(c[np.where(g <= space.n_fem, g - 1, -1)] * (ders if deriv else vals), 0)
+    if space.n_enr:
+        on = k == mesh.r
+        out[on] += dofs.u_E @ _enrichment(space, t[on], vals[:, on], ders[:, on])[deriv]
+    return out.reshape(x.shape)

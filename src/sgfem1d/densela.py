@@ -132,9 +132,10 @@ def _band_form(n, rows, cols):
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     i, j = pos[rows], pos[cols]
-    lower = keep & (i >= j)
-    size = (int(np.max((i - j)[lower], initial=0)) + 1) * n
-    index = np.where(lower, (i - j) * n + j, size).ravel()
+    i -= j  # in place: each entry's subdiagonal, then its index in the band
+    lower = keep & (i >= 0)
+    size = (int(np.max(i, where=lower, initial=0)) + 1) * n
+    index = np.where(lower, np.add(np.multiply(i, n, out=i), j, out=i), size).ravel()
 
     def band(vals):
         # the extra bin takes the dropped entries

@@ -11,6 +11,7 @@ from sgfem1d import (analytic, build_uniform_mesh, exact_eigenfunction,
                      integrate_piecewise, manufactured_source,
                      solve_matching_system)
 from sgfem1d.exceptions import ConvergenceFailureError, InvalidArgumentError
+from sgfem1d.sweep import CASES
 
 
 def _matching_residuals(pair):
@@ -145,6 +146,32 @@ def test_exact_function_vectorized_eval():
     assert float(vals[0]) == pytest.approx(0.0, abs=1e-14)
 
 
+def _where_reference(fn, x, deriv):
+    """Both sides evaluated at every point, then picked by np.where."""
+    f0, f1 = (fn.df0, fn.df1) if deriv else (fn.f0, fn.f1)
+    x = np.asarray(x, dtype=float)
+    return np.where(x <= fn.gamma, f0(x), f1(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(xs=st.lists(st.floats(0.0, 1.0), max_size=700), shape=st.sampled_from(["flat", "2d"]))
+def test_exact_function_evaluates_each_side_only_on_its_points(xs, shape):
+    u, _ = manufactured_source()
+    eig = exact_eigenfunction(solve_matching_system(0.3, 9.0, 5)[4])
+    # gamma itself, 0-d input and an empty array besides the drawn points
+    cases = [np.array(xs), np.array(1.0 / 3.0), np.array(0.3), 1.0 / 3.0, np.empty(0)]
+    if shape == "2d" and len(xs) % 2 == 0:
+        cases.append(np.array(xs).reshape(2, -1))
+    for fn in (u, eig):
+        for x in cases + [np.append(xs, fn.gamma)]:
+            for deriv in (0, 1):
+                got = fn.deriv(x) if deriv else fn.value(x)
+                want = _where_reference(fn, x, deriv)
+                assert type(got) is type(want) and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def _certify(gamma, eta, count=9):
     """Completeness and indexing of the roots, independent of the brackets:
     by Sturm's oscillation theorem the n-th eigenfunction has exactly n - 1
@@ -218,3 +245,18 @@ def test_extreme_contrast_work_is_bounded(monkeypatch, gamma, eta):
     pairs = solve_matching_system(gamma, eta, 9)
     assert [p.index for p in pairs] == list(range(1, 10))
     assert sum(points) <= 40 * 9
+
+
+@pytest.mark.parametrize("case,bound", [("case2", 130), ("case3", 290)])
+def test_converged_brackets_are_not_evaluated_again(monkeypatch, case, bound):
+    # 24 roots: the two bracket ends, then one point per bracket still wider
+    # than 4 ulp and per step.  Evaluating every bracket on every step takes
+    # 192 (case2) and 336 (case3) points; only the wide ones, 116 and 267.
+    points, F = [], analytic._matching_F
+    monkeypatch.setattr(analytic, "_matching_F",
+                        lambda w, g, r: points.append(np.size(w)) or F(w, g, r))
+    pairs = solve_matching_system(CASES[case]["gamma"], CASES[case]["eta"], 24)
+    assert [p.index for p in pairs] == list(range(1, 25))
+    assert points[:3] == [24, 24, 24]  # the ends, then the first step
+    assert all(a >= b for a, b in zip(points[2:], points[3:]))
+    assert points[-1] < 24 and sum(points) <= bound

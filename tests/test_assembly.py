@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, solve_spd)
+from sgfem1d.assembly import _gram
+from sgfem1d.basis import _lagrange, reference_enrichment
+from sgfem1d.densela import _band_form
 from sgfem1d.errors import h1_semi_error
 from sgfem1d.exceptions import CoefficientNotPositiveError, InvalidArgumentError
+from sgfem1d.quadrature import composite_rule, panels
 
 
 def test_linear_fem_tridiagonal_by_hand():
@@ -114,6 +118,30 @@ def test_assembly_memory_is_linear_in_ndof(N, benchmark_problem):
     finally:
         tracemalloc.stop()
     assert peak < 420 * ndof
+
+
+def test_assembly_and_norms_hold_no_per_point_basis_tables(benchmark_problem):
+    # p=3, N=2*10^4 (ndof 60003).  Whole elements read one shared reference
+    # table, so neither assemble nor the norms build (panels, functions,
+    # points) arrays: measured 307 bytes/dof at assemble's peak with a load
+    # (531 with such tables) and 37.5 kept by the space after the H1 norm,
+    # its p+4 points and weights (187 with the tables).
+    u, _, prob = benchmark_problem
+    space = build_space(build_uniform_mesh(20000, prob.gamma), 3)
+    ndof = space.n_fem + space.n_enr
+    tracemalloc.start()
+    try:
+        sys_ = assemble(space, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+        dofs = DofVector(*np.split(solve_spd(sys_.K, sys_.F), [space.n_fem]))
+        del sys_
+        before = tracemalloc.get_traced_memory()[0]
+        h1_semi_error(dofs, space, u)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * ndof
+    assert kept < 64 * ndof
 
 
 def test_mass_matrix_total_is_function_inner_products():
@@ -280,3 +308,58 @@ def test_kernel_matches_pointwise_oracle(cell):
     assert _scaled_error(sys_.K, K, np.outer(dK, dK)) <= 1e-12
     assert _scaled_error(sys_.M, M, np.outer(dM, dM)) <= 1e-12
     assert _scaled_error(sys_.F, F, 3.0 * dM) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one element matrix per distinct element size against one per panel
+
+def _per_panel_bands(space, prob):
+    """K's and M's (order, band), built from one _gram per panel at its own
+    p+2 Gauss points, from its own _lagrange table (and the enrichment on the
+    interface element), in panel order through the one _band_form scatter."""
+    mesh, p, nf, n = space.mesh, space.p, space.n_fem, space.p + 2
+    a, b = mesh.element_bounds(mesh.r)
+    nu = (mesh.gamma - a) / (b - a)
+    elements, edges = panels(mesh)
+    rows, Ks, Ms = [], [], []
+    for i, e in enumerate(elements):
+        x, w = composite_rule(edges[i:i + 1], edges[i + 1:i + 2], n)
+        split = not mesh.fitting and e == mesh.r
+        t = composite_rule(*(((nu,), (1.0,)) if i == mesh.r else ((0.0,), (nu,)))
+                           if split else ((0.0,), (1.0,)), n)[0]
+        vals, ders = _lagrange(p, t[0])
+        h = mesh.nodes[e] - mesh.nodes[e - 1]
+        ders = ders / h
+        g = (e - 1) * p + np.arange(p + 1)
+        r = list(np.where(g <= nf, g - 1, -1))
+        if space.n_enr and e == mesh.r:
+            local = np.array(space.enriched_set) - (e - 1) * p
+            we, dw = h * reference_enrichment(nu, t[0]), reference_enrichment(nu, t[0], 1)
+            vals, ders = (np.concatenate([vals, we * vals[local]]),
+                          np.concatenate([ders, dw * vals[local] + we * ders[local]]))
+            r += list(nf + np.arange(space.n_enr))
+        rows.append(np.repeat(np.array(r)[:, None], len(r), 1))
+        Ks.append(_gram(ders[None], prob.kappa(x) * w))
+        Ms.append(_gram(vals[None], w))
+    flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])  # noqa: E731
+    order, band = _band_form(nf + space.n_enr, flat(rows), flat(r.T for r in rows))
+    return (order, band(flat(Ks))), (order, band(flat(Ms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 6), N=st.integers(2, 700), fitting=st.booleans(),
+       where=st.floats(0.0, 1.0), enrich=st.booleans(),
+       k1=st.sampled_from([4.0, 1e-3, 1e3, 1.0]))
+@example(p=3, N=640, fitting=False, where=0.3, enrich=True, k1=4.0)
+@example(p=1, N=2, fitting=True, where=0.0, enrich=True, k1=4.0)
+def test_bands_equal_per_panel_element_matrices_bit_for_bit(p, N, fitting, where, enrich, k1):
+    # uniform meshes from np.linspace have a few distinct element sizes
+    j = min(max(int(where * N), 1), N - 1)
+    gamma = j / N if fitting else (j + 0.05 + 0.9 * (where * N % 1.0)) / N
+    mesh = build_uniform_mesh(N, gamma)
+    space = build_space(mesh, p, enrich=enrich)
+    prob = InterfaceProblem(gamma=mesh.gamma, kappa0=1.0, kappa1=k1)
+    system = assemble(space, prob)
+    for got, want in zip((system.K.band, system.M.band), _per_panel_bands(space, prob)):
+        assert np.array_equal(got[0], want[0])
+        assert got[1].tobytes() == want[1].tobytes()  # bit for bit, signed zeros too

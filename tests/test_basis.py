@@ -429,21 +429,19 @@ def test_panel_tables_carry_enrichment_on_interface_panels_only(p, N, gamma,
     space = build_space(mesh, p, enrich=enrich)
     q = panel_basis(space, p + 2)
     elements = panels(mesh)[0]
-    seen = []
-    for index, rows, vals, ders in q.runs:
-        e = elements[index]
-        on = space.n_enr > 0 and e[0] == mesh.r
-        width = p + 1 + space.n_enr * on
-        if space.n_enr:
-            assert np.all((e == mesh.r) == on)
-        assert rows.shape == (len(e), width)
-        assert vals.shape == ders.shape == (len(e), width, p + 2)
-        assert np.all(rows[:, p + 1:] == space.n_fem + np.arange(space.n_enr * on))
-        assert np.all(rows[:, :p + 1] < space.n_fem)
-        seen += list(np.arange(len(elements))[index])
-    assert seen == list(range(len(elements)))  # every panel once, in order
-    assert len(q.runs) == (1 if not space.n_enr else
-                           1 + (mesh.r > 1) + (mesh.r < N))
+    at, rows, vals, ders = q.gamma
+    on = np.arange(len(elements))[at]
+    assert q.rows.shape == (len(elements), p + 1) and q.h.shape == (len(elements), 1)
+    assert q.vals.shape == q.ders.shape == (p + 1, p + 2)  # one table for all
+    assert np.all(q.rows < space.n_fem)
+    # tables of their own only on the interface element's panels, off a node
+    assert on.tolist() == ([] if mesh.fitting else [mesh.r - 1, mesh.r])
+    assert np.all(elements[on] == mesh.r)
+    width = p + 1 + space.n_enr
+    assert rows.shape == (len(on), width)
+    assert vals.shape == ders.shape == (len(on), width, p + 2)
+    assert np.array_equal(rows[:, :p + 1], q.rows[at])
+    assert np.all(rows[:, p + 1:] == space.n_fem + np.arange(space.n_enr))
 
 
 def _direct_panel_tables(space, n):
@@ -482,7 +480,9 @@ def test_panel_basis_matches_direct_per_panel_tables_bit_for_bit(p, N, gamma, en
         q = panel_basis(space, n)
         x, w = composite_rule(edges[:-1], edges[1:], n)
         assert np.array_equal(q.x, x) and np.array_equal(q.w, w)
-        got = [pair for _, _, vals, ders in q.runs for pair in zip(vals, ders)]
+        # a whole element reads the shared table, the panels at gamma their own
+        got = [(q.vals, q.ders / h) for h in q.h[:, 0]]
+        got[q.gamma[0]] = zip(*q.gamma[2:])
         want = _direct_panel_tables(space, n)
         assert len(got) == len(want)
         for (gv, gd), (wv, wd) in zip(got, want):
@@ -505,22 +505,29 @@ def test_panel_layout_is_per_space_and_read_only():
     a, b = build_space(mesh, 2), build_space(mesh, 2)
     assert a.panel_layout is a.panel_layout
     assert a.panel_layout is not b.panel_layout
-    lo, hi, which, (runs, h, nu) = a.panel_layout
-    edges = panels(mesh)[1]
+    lo, hi, rows, h, at, gamma_rows, first, key = a.panel_layout
+    edges, nu = panels(mesh)[1], hi[-2]
     assert np.array_equal(lo, np.append(edges[:-1], (0.0, nu)))
     assert np.array_equal(hi, np.append(edges[1:], (nu, 1.0)))
-    assert which.tolist() == [0] * (mesh.r - 1) + [1, 2] + [0] * (mesh.N - mesh.r)
-    assert len(runs) == 3  # before, on and after the interface element
-    for arr in (lo, hi, which, h, *(run[1] for run in runs)):
+    assert at == slice(mesh.r - 1, mesh.r + 1)  # the two sides of gamma
+    assert gamma_rows.shape == (2, 2 + 1 + a.n_enr)
+    # a whole element's key leads to a whole element of its exact size and side
+    whole, right = np.ones(len(h), bool), (lo + hi)[:-2] / 2 > mesh.gamma
+    whole[at] = False
+    rep = first[key]
+    assert whole[rep[whole]].all() and not np.isin(key[at], key[whole]).any()
+    assert np.array_equal(h[rep], h) and np.array_equal(right[rep[whole]], right[whole])
+    assert len(first) == len(set(zip(h[whole], right[whole]))) + 1
+    for arr in (lo, hi, rows, h, gamma_rows, first, key):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
 
 
 def test_panel_layout_is_freed_with_its_space():
     space = build_space(build_uniform_mesh(20, 0.31), 2)
-    lo, hi, which, (runs, h, nu) = space.panel_layout
-    refs = [weakref.ref(a) for a in (space, lo, hi, which, h, *(run[1] for run in runs))]
-    del space, lo, hi, which, runs, h
+    arrays = [a for a in space.panel_layout if isinstance(a, np.ndarray)]
+    refs = [weakref.ref(a) for a in [space] + arrays]
+    del space, arrays
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 

@@ -148,9 +148,9 @@ def test_assembly_rules_are_built_on_every_call(rules_built):
 def test_norm_basis_is_read_only():
     space, _ = _eigen_cell()
     q = space.norm_basis
-    runs = [a for run in q.runs for a in run]
-    assert len(runs) == 12 and all(type(a) is slice for a in runs[::4])
-    for a in [q.x, q.w] + [a for a in runs if type(a) is not slice]:
+    at, *gamma = q.gamma
+    assert type(at) is slice and len(gamma) == 3
+    for a in [q.x, q.w, q.rows, q.h, q.vals, q.ders] + gamma:
         with pytest.raises(ValueError):
             a[(0,) * a.ndim] = 0
 
@@ -165,8 +165,9 @@ def test_norm_basis_is_per_space():
 
 def test_norm_basis_is_freed_with_its_space():
     space, _ = _eigen_cell()
-    refs = [weakref.ref(space)] + [weakref.ref(run[2])
-                                   for run in space.norm_basis.runs]
+    q = space.norm_basis
+    refs = [weakref.ref(a) for a in (space, q.x, q.w, q.rows, q.h, *q.gamma[1:])]
+    del q
     del space
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
