@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import panel_basis
+from .basis import LOAD_RULE, MATRIX_RULE, panel_basis
 from .densela import BandMatrix, _band_form
 from .exceptions import CoefficientNotPositiveError, InvalidArgumentError
 from .quadrature import sample
@@ -86,14 +86,14 @@ def assemble(space, prob):
     F = None
     if prob.source is not None:
         # the source term need not be polynomial, so the load uses a finer rule
-        q = panel_basis(space, space.p + 6)
+        q = panel_basis(space, space.p + LOAD_RULE)
         g = q.w * sample(prob.source, q.x)
         at, rows, vals, _ = q.gamma
         load = np.einsum("pfn,pn->pf", vals, g[at])
         F = np.bincount(_in_panel_order(q.rows, rows, at) + 1,  # bin 0 takes row -1
                         _in_panel_order(g @ q.vals.T, load, at), minlength=ndof + 1)[1:]
-    q = panel_basis(space, space.p + 2)
-    (at, rows, vals, ders), (first, key) = q.gamma, space.panel_layout[6:]
+    q = panel_basis(space, space.p + MATRIX_RULE)
+    (at, rows, vals, ders), (first, key) = q.gamma, space.panel_layout[7:]
     # K and M couple the rows sharing a panel; one element matrix per size and side
     pattern = [np.repeat(r[:, :, None], r.shape[1], 2) for r in (q.rows, rows)]
     i = _in_panel_order(*pattern, at)

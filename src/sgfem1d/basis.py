@@ -12,12 +12,17 @@ p+1 products w * N_j for the nodal functions of the interface element.
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .exceptions import DiscontinuousInputError, InvalidArgumentError
 from .mesh import locate
-from .quadrature import composite_rule, panels
+from .quadrature import QuadRule, composite_rule, gauss_rule, panels
+
+# The package's Gauss rules, as point counts past p: K and M (exact for the
+# enrichment products), the error norms and the alignment, and the load.
+RULES = MATRIX_RULE, NORM_RULE, LOAD_RULE = 2, 4, 6
 
 
 @cache  # per degree and ndim(t): _lagrange's nodes up and down, and denominators
@@ -79,36 +84,35 @@ class EnrichedSpace:
     def norm_basis(self):
         """The (p+4)-point PanelBasis of the error norms and the alignment,
         built on first use and shared, read-only, by every later call."""
-        q = panel_basis(self, self.p + 4)
-        for a in (q.x, q.w, *q.gamma[2:]):
+        q = panel_basis(self, self.p + NORM_RULE)
+        for a in (q.x, q.w):
             a.setflags(write=False)
         return q
 
     @cached_property  # kept in the instance __dict__: freed with the space
     def panel_layout(self):
-        """What every panel_basis call shares, read-only: the panel ends lo, hi,
-        followed off a node by those of [0, nu] and [nu, 1]; each panel's Lagrange
-        rows (-1: a Dirichlet boundary node) and element size h; the slice of the
-        panels at gamma and their rows, enrichment last; the first panel of each
-        distinct size (negated on the kappa1 side, 0 at gamma) and each panel's."""
-        mesh, p, nf, r = self.mesh, self.p, self.n_fem, self.mesh.r
+        """What every panel_basis call shares, read-only: the panel ends lo, hi; each
+        panel's Lagrange rows (-1: a Dirichlet boundary node) and element size h; the
+        slice of the panels at gamma, their rows (enrichment last) and their own tables
+        {n: (vals, ders)} for the n = p + RULES rules, from one evaluation; the first
+        panel of each distinct size (negated on the kappa1 side, 0 at gamma) and each
+        panel's."""
+        mesh, p, nf = self.mesh, self.p, self.n_fem
         elements, edges = panels(mesh)
         g = (elements[:, None] - 1) * p + np.arange(p + 1)
         rows, lo, hi = np.where(g <= nf, g - 1, -1), edges[:-1], edges[1:]
         h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-        at = slice(0, 0) if mesh.fitting else slice(r - 1, r + 1)
+        at = slice(0, 0) if mesh.fitting else slice(mesh.r - 1, mesh.r + 1)
         # every point of a whole element lies on its midpoint's side of gamma
         signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
         signed[at] = 0.0  # so the first panel of every other size is a whole element
         _, first, key = np.unique(signed, return_index=True, return_inverse=True)
         enr = nf + np.arange(self.n_enr)  # the enrichment rows
         gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
-        if not mesh.fitting:
-            nu = (mesh.gamma - lo[r - 1]) / h[r - 1]  # in the element's [0, 1]
-            lo, hi = np.concatenate([lo, (0.0, nu)]), np.concatenate([hi, (nu, 1.0)])
         for a in (lo, hi, rows, h, gamma_rows, first, key):
             a.setflags(write=False)
-        return lo, hi, rows, h, at, gamma_rows, first, key
+        tables = _gamma_tables(self, lo[at], hi[at], h[at], tuple(p + k for k in RULES))
+        return lo, hi, rows, h, at, gamma_rows, tables, first, key
 
 
 @dataclass
@@ -289,21 +293,41 @@ def _enrichment(space, t, vals, ders):
     return w * phi, dw * phi + w * ders[local]
 
 
+@cache  # per tuple of point counts, like gauss_rule
+def _joint_rule(ns):
+    """The Gauss rules of ns points, side by side, as one QuadRule."""
+    rules = [gauss_rule(n) for n in ns]
+    return QuadRule(sum(ns), np.concatenate([r.points for r in rules]),
+                    np.concatenate([r.weights for r in rules]))
+
+
+def _gamma_tables(space, lo, hi, h, ns):
+    """{n: (vals, ders)}, read-only, (panels, functions, n), for each n of ns: every
+    function living on the panels [lo, hi] at gamma (element size h), from one _lagrange
+    and one _enrichment call at the points of all the rules."""
+    a = space.mesh.nodes[space.mesh.r - 1]  # [lo, hi] is [0, nu] or [nu, 1] in [0, 1]
+    t = composite_rule((lo - a) / h, (hi - a) / h, _joint_rule(ns))[0]
+    gv, gd = _lagrange(space.p, t)
+    gd = gd / h[:, None]
+    if space.n_enr:
+        gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
+    for f in (gv, gd):
+        f.setflags(write=False)
+    gv, gd = gv.transpose(1, 0, 2), gd.transpose(1, 0, 2)
+    return {n: (gv[..., e - n:e], gd[..., e - n:e]) for n, e in zip(ns, accumulate(ns))}
+
+
 def panel_basis(space, n):
     """The n-point Gauss rule on every integration panel of the space's mesh
     (split at gamma off a node) and every basis function there, as a
-    PanelBasis: only the two sides of gamma need tables of their own."""
-    lo, hi, rows, h, at, gamma_rows = space.panel_layout[:6]
+    PanelBasis: whole elements read the shared reference table, the sides of
+    gamma the layout's tables (a rule outside p + RULES is evaluated here)."""
+    lo, hi, rows, h, at, gamma_rows, tables = space.panel_layout[:7]
     x, w = composite_rule(lo, hi, n)
     _, vals, ders = reference_tables(space.p, n)
-    gv = gd = np.empty((0, space.p + 1, n))
-    if not space.mesh.fitting:  # the last two rows: the sides of gamma in [0, 1]
-        x, w, t = x[:-2], w[:-2], x[-2:]
-        gv, gd = _lagrange(space.p, t)
-        gd = gd / h[at, None]
-        if space.n_enr:
-            gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
-        gv, gd = gv.transpose(1, 0, 2), gd.transpose(1, 0, 2)
+    if n not in tables:
+        tables = _gamma_tables(space, lo[at], hi[at], h[at], (n,))
+    gv, gd = tables[n]
     return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0], (at, gamma_rows, gv, gd))
 
 

@@ -352,9 +352,14 @@ def _per_panel_bands(space, prob):
        k1=st.sampled_from([4.0, 1e-3, 1e3, 1.0]))
 @example(p=3, N=640, fitting=False, where=0.3, enrich=True, k1=4.0)
 @example(p=1, N=2, fitting=True, where=0.0, enrich=True, k1=4.0)
+@example(p=1, N=10, fitting=False, where=0.0, enrich=True, k1=4.0)    # gamma in element 1
+@example(p=1, N=10, fitting=False, where=0.999, enrich=True, k1=4.0)  # and in element N
+@example(p=3, N=7, fitting=False, where=0.05, enrich=True, k1=1e-3)
+@example(p=2, N=9, fitting=False, where=0.97, enrich=True, k1=1e3)
 def test_bands_equal_per_panel_element_matrices_bit_for_bit(p, N, fitting, where, enrich, k1):
-    # uniform meshes from np.linspace have a few distinct element sizes
-    j = min(max(int(where * N), 1), N - 1)
+    # uniform meshes from np.linspace have a few distinct element sizes; off a
+    # node gamma may lie in any element, the first and the last included
+    j = min(max(int(where * N), int(fitting)), N - 1)
     gamma = j / N if fitting else (j + 0.05 + 0.9 * (where * N % 1.0)) / N
     mesh = build_uniform_mesh(N, gamma)
     space = build_space(mesh, p, enrich=enrich)

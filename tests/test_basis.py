@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import weakref
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import sgfem1d.basis
 from sgfem1d import (DofVector, build_interface_interpolant, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, represent_piecewise_poly)
-from sgfem1d.basis import (EnrichedSpace, _lagrange, panel_basis, reference_enrichment,
-                           reference_tables)
+from sgfem1d.basis import (RULES, EnrichedSpace, _lagrange, panel_basis,
+                           reference_enrichment, reference_tables)
 from sgfem1d.exceptions import (DiscontinuousInputError, InvalidArgumentError,
                                 OutOfDomainError)
 from sgfem1d.quadrature import composite_rule, panels
@@ -470,13 +471,15 @@ def _direct_panel_tables(space, n):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize("N,gamma", [
-    (6, 1.0 / 3.0), (7, 0.3), (10, 0.3 + 5e-5), (10, 0.7 - 5e-5)])
+    (6, 1.0 / 3.0), (7, 0.3), (10, 0.3 + 5e-5), (10, 0.7 - 5e-5), (10, 0.05), (10, 0.97)])
 @pytest.mark.parametrize("enrich", [False, True])
 def test_panel_basis_matches_direct_per_panel_tables_bit_for_bit(p, N, gamma, enrich):
-    # fitting, non-fitting, and gamma within 1e-3 h of a node on either side
+    # fitting, non-fitting, gamma within 1e-3 h of a node on either side, and
+    # gamma in the first and in the last element; the three rules of the
+    # per-space batch and p + 3, which is outside it
     space = build_space(build_uniform_mesh(N, gamma), p, enrich=enrich)
     edges = panels(space.mesh)[1]
-    for n in (p + 2, p + 6):
+    for n in (p + 2, p + 4, p + 6, p + 3):
         q = panel_basis(space, n)
         x, w = composite_rule(edges[:-1], edges[1:], n)
         assert np.array_equal(q.x, x) and np.array_equal(q.w, w)
@@ -501,33 +504,38 @@ def test_reference_tables_are_shared_and_read_only(p, n):
 
 
 def test_panel_layout_is_per_space_and_read_only():
-    mesh = build_uniform_mesh(20, 0.31)
-    a, b = build_space(mesh, 2), build_space(mesh, 2)
+    mesh, p = build_uniform_mesh(20, 0.31), 2
+    a, b = build_space(mesh, p), build_space(mesh, p)
     assert a.panel_layout is a.panel_layout
     assert a.panel_layout is not b.panel_layout
-    lo, hi, rows, h, at, gamma_rows, first, key = a.panel_layout
-    edges, nu = panels(mesh)[1], hi[-2]
-    assert np.array_equal(lo, np.append(edges[:-1], (0.0, nu)))
-    assert np.array_equal(hi, np.append(edges[1:], (nu, 1.0)))
+    lo, hi, rows, h, at, gamma_rows, tables, first, key = a.panel_layout
+    edges = panels(mesh)[1]
+    assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:])
     assert at == slice(mesh.r - 1, mesh.r + 1)  # the two sides of gamma
-    assert gamma_rows.shape == (2, 2 + 1 + a.n_enr)
+    assert gamma_rows.shape == (2, p + 1 + a.n_enr)
+    # the sides of gamma carry their own tables for the package's three rules
+    assert sorted(tables) == [p + k for k in RULES]
+    for n, (vals, ders) in tables.items():
+        assert vals.shape == ders.shape == (2, p + 1 + a.n_enr, n)
     # a whole element's key leads to a whole element of its exact size and side
-    whole, right = np.ones(len(h), bool), (lo + hi)[:-2] / 2 > mesh.gamma
+    whole, right = np.ones(len(h), bool), (lo + hi) / 2 > mesh.gamma
     whole[at] = False
     rep = first[key]
     assert whole[rep[whole]].all() and not np.isin(key[at], key[whole]).any()
     assert np.array_equal(h[rep], h) and np.array_equal(right[rep[whole]], right[whole])
     assert len(first) == len(set(zip(h[whole], right[whole]))) + 1
-    for arr in (lo, hi, rows, h, gamma_rows, first, key):
+    for arr in (lo, hi, rows, h, gamma_rows, first, key, *chain(*tables.values())):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
 
 
 def test_panel_layout_is_freed_with_its_space():
     space = build_space(build_uniform_mesh(20, 0.31), 2)
-    arrays = [a for a in space.panel_layout if isinstance(a, np.ndarray)]
+    layout = space.panel_layout
+    arrays = [a for a in layout if isinstance(a, np.ndarray)] + [
+        f for f in chain(*layout[6].values())] + [f.base for f in chain(*layout[6].values())]
     refs = [weakref.ref(a) for a in [space] + arrays]
-    del space, arrays
+    del space, layout, arrays
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
@@ -546,13 +554,24 @@ def lagrange_points(monkeypatch):
 
 
 @pytest.mark.parametrize("gamma,enrich,split", [
-    (0.3, True, True), (0.3, False, True), (1.0 / 3.0, True, False)])
-def test_panel_basis_evaluates_lagrange_only_on_the_sides_of_gamma(
+    (0.3, True, True), (0.3, False, True), (1.0 / 3.0, True, False),
+    (0.05, True, True), (0.97, True, True)])
+def test_panel_basis_evaluates_lagrange_once_per_space_on_the_sides_of_gamma(
         lagrange_points, gamma, enrich, split):
-    mesh, p, n = build_uniform_mesh(12, gamma), 2, 5
-    panel_basis(build_space(mesh, p, enrich=enrich), n)  # fills the (p, n) tables
+    mesh, p = build_uniform_mesh(12, gamma), 2
+    rules = [p + k for k in RULES]
+    for n in rules + [p + 3]:  # fill the shared (p, n) tables
+        panel_basis(build_space(mesh, p, enrich=enrich), n)
     lagrange_points.clear()
     space = build_space(mesh, p, enrich=enrich)
-    panel_basis(space, n)
-    panel_basis(space, n)
-    assert lagrange_points == ([2 * n, 2 * n] if split else [])
+    for _ in range(2):
+        for n in rules:
+            panel_basis(space, n)
+    space.norm_basis
+    # one call per space, at the points of all three rules on [0, nu] and
+    # [nu, 1]; on a fitting mesh there are no such panels and no points
+    assert lagrange_points == [2 * sum(rules) if split else 0]
+    # a rule outside the three is evaluated on the same two panels per call
+    panel_basis(space, p + 3)
+    panel_basis(space, p + 3)
+    assert lagrange_points[1:] == [2 * (p + 3) if split else 0] * 2
