@@ -7,7 +7,13 @@ degrees of freedom).
 
 The enrichment is w = I_h w* - w* with w* = |x - gamma|, supported on the
 interface element only and positive there.  The enriched space adds the
-p+1 products w * N_j for the nodal functions of the interface element.
+p+1 products w * N_j for the nodal functions of the interface element, the
+boundary node's too when that element is the first or the last: w vanishes
+at every node, so each product vanishes at x = 0 and x = 1.
+
+Integration panels share one Lagrange table per (degree, rule); the two
+panels at gamma have their own, built once per space for the package's
+RULES.
 """
 
 from dataclasses import dataclass
@@ -57,10 +63,10 @@ def _lagrange(p, t):
 class EnrichedSpace:
     """Degree-p approximation space on a mesh, optionally SGFEM-enriched.
 
-    enriched_set holds the global basis indices whose nodal functions are
-    multiplied by the enrichment (the nodes of the interface element that
-    are interior to the domain); the counts n_fem, n_enr and the flag
-    enriched are derived from p, mesh and it.
+    enriched_set holds the global node indices whose nodal functions are
+    multiplied by the enrichment (all p+1 nodes of the interface element, or
+    none); the counts n_fem, n_enr and the flag enriched are derived from p,
+    mesh and it.
     """
 
     p: int
@@ -127,12 +133,13 @@ class DofVector:
 
 
 def build_space(mesh, p, enrich=True):
-    """Construct the degree-p space; enrichment is dropped on fitting meshes."""
+    """Construct the degree-p space, enriched by the p+1 products w * N_j of the
+    interface element's nodal functions; enrichment is dropped on fitting meshes."""
     if p < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {p}")
     enriched = bool(enrich) and not mesh.fitting
-    cand = range((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
-    return EnrichedSpace(p, mesh, tuple(g for g in cand if 1 <= g < p * mesh.N))
+    nodes = range((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
+    return EnrichedSpace(p, mesh, tuple(nodes))
 
 
 def eval_fem_basis(space, j, x, deriv=0):
@@ -245,7 +252,7 @@ def build_interface_interpolant(u0, u1, space):
     # the interior nodes (never on the boundary) so neighbours stay untouched
     uF[space.element_dofs(r)[1:p] - 1] += q[1:p]
     # actual enrichment = h * reference enrichment, so coefficients shrink by h
-    uE = gb[np.array(space.enriched_set, dtype=int) - (r - 1) * p] / h
+    uE = gb / h
     return DofVector(u_F=uF, u_E=uE)
 
 
@@ -285,12 +292,13 @@ def reference_tables(p, n):
 
 def _enrichment(space, t, vals, ders):
     """Values and x-derivatives, function axis first, of the enrichment functions w N_j at
-    points t of the interface element's [0, 1], from its Lagrange vals and x-ders there."""
-    mesh, local = space.mesh, np.array(space.enriched_set) - (space.mesh.r - 1) * space.p
-    (a, b), phi = mesh.element_bounds(mesh.r), vals[local]
+    points t of the interface element's [0, 1], from its Lagrange vals and x-ders there
+    (none on an unenriched space)."""
+    mesh, n = space.mesh, space.n_enr
+    a, b = mesh.element_bounds(mesh.r)
     nu = (mesh.gamma - a) / (b - a)
     w, dw = (b - a) * reference_enrichment(nu, t), reference_enrichment(nu, t, 1)
-    return w * phi, dw * phi + w * ders[local]
+    return w * vals[:n], dw * vals[:n] + w * ders[:n]
 
 
 @cache  # per tuple of point counts, like gauss_rule
@@ -309,8 +317,7 @@ def _gamma_tables(space, lo, hi, h, ns):
     t = composite_rule((lo - a) / h, (hi - a) / h, _joint_rule(ns))[0]
     gv, gd = _lagrange(space.p, t)
     gd = gd / h[:, None]
-    if space.n_enr:
-        gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
+    gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
     for f in (gv, gd):
         f.setflags(write=False)
     gv, gd = gv.transpose(1, 0, 2), gd.transpose(1, 0, 2)

@@ -249,11 +249,15 @@ def _brute_force_system(space, prob):
     ndof = nf + space.n_enr
     K, M, F = np.zeros((ndof, ndof)), np.zeros((ndof, ndof)), np.zeros(ndof)
 
+    def node(g, x, deriv=0):  # N_g on the interface element, a boundary node's too
+        a, b = mesh.element_bounds(mesh.r)
+        v = _lagrange(space.p, (x - a) / (b - a))[deriv][g - (mesh.r - 1) * space.p]
+        return v / (b - a) if deriv else v
+
     def basis(x, deriv):
         fem = [eval_fem_basis(space, j, x, deriv) for j in range(1, nf + 1)]
         w, dw = eval_enrichment(space, x), eval_enrichment(space, x, 1)
-        enr = [dw * eval_fem_basis(space, g, x) + w * eval_fem_basis(space, g, x, 1)
-               if deriv else w * eval_fem_basis(space, g, x)
+        enr = [dw * node(g, x) + w * node(g, x, 1) if deriv else w * node(g, x)
                for g in space.enriched_set]
         return np.array(fem + enr)
 

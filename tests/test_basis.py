@@ -151,7 +151,10 @@ def test_counts_are_derived_from_the_space(gamma, enrich):
     assert space.n_fem == 3 * 10 - 1
     assert space.n_enr == len(space.enriched_set)
     assert space.enriched == (enrich and not mesh.fitting) == (space.n_enr > 0)
-    assert all(1 <= g <= space.n_fem for g in space.enriched_set)
+    # every node of the interface element, the boundary node included when
+    # gamma lies in the first (0.01) or the last (0.99) element
+    r = mesh.r
+    assert space.enriched_set == (tuple(range(3 * (r - 1), 3 * r + 1)) if space.enriched else ())
     with pytest.raises(TypeError):
         EnrichedSpace(p=3, mesh=mesh, enriched_set=(), n_fem=29)
 
