@@ -120,6 +120,26 @@ def test_scaled_condition_number_scaling_invariance():
         scaled_condition_number(A), rel=1e-9)
 
 
+@pytest.mark.parametrize("p,N,enrich", [(1, 320, False), (3, 640, True), (6, 40, True)])
+def test_scaled_condition_number_finds_lambda_min_in_few_solves(monkeypatch, p, N, enrich):
+    # lambda_min's run is sized to its one pair: at most 10 triangular solve
+    # pairs (ARPACK's default subspace took 21), and the number it gave to 1e-12
+    gamma = 1.0 / 3.0 + 1e-3
+    K = assemble(build_space(build_uniform_mesh(N, gamma), p, enrich),
+                 InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=4.0)).K
+    solves, real = [], densela.lapack.dpbtrs
+    monkeypatch.setattr(densela.lapack, "dpbtrs",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+    got = scaled_condition_number(K)
+    assert 1 <= len(solves) <= 10
+    lanczos = densela._lanczos  # ARPACK's default subspace for both runs
+    monkeypatch.setattr(densela, "_lanczos", lambda f, n, k=1, ncv=None: lanczos(f, n, k))
+    assert got == pytest.approx(scaled_condition_number(K), rel=1e-12)
+    d = 1.0 / np.sqrt(np.diag(np.asarray(K)))
+    lam = np.linalg.eigvalsh(np.asarray(K) * np.outer(d, d))  # to about cond * eps
+    assert got == pytest.approx(lam[-1] / lam[0], rel=1e-6)
+
+
 def test_scaled_condition_number_rejects_nonpositive_diagonal():
     with pytest.raises(NotPositiveDefiniteError):
         scaled_condition_number(np.array([[0.0, 1.0], [1.0, 1.0]]))
