@@ -110,8 +110,7 @@ def solve_matching_system(gamma, eta, count):
 
 
 def exact_eigenfunction(pair):
-    """L2-normalized evaluator for the eigenfunction of a matching-system
-    root."""
+    """L2-normalized evaluator for the eigenfunction of a matching-system root."""
     gamma, w1, d = pair.gamma, pair.omega1, pair.d
     w0 = np.sqrt(pair.eta) * w1
     # integral of the squared sines on [0, gamma] and [gamma, 1]

@@ -7,13 +7,8 @@ degrees of freedom).
 
 The enrichment is w = I_h w* - w* with w* = |x - gamma|, supported on the
 interface element only and positive there.  The enriched space adds the
-p+1 products w * N_j for the nodal functions of the interface element, the
-boundary node's too when that element is the first or the last: w vanishes
-at every node, so each product vanishes at x = 0 and x = 1.
-
-Integration panels share one Lagrange table per (degree, rule); the two
-panels at gamma have their own, built once per space for the package's
-RULES.
+p+1 products w * N_j for the nodal functions of the interface element, a
+boundary node's too: w, and so each product, vanishes at x = 0 and x = 1.
 """
 
 from dataclasses import dataclass
@@ -24,10 +19,9 @@ import numpy as np
 
 from .exceptions import DiscontinuousInputError, InvalidArgumentError
 from .mesh import locate
-from .quadrature import QuadRule, composite_rule, gauss_rule, panels
+from .quadrature import composite_rule, gauss_rule, panels
 
-# The package's Gauss rules, as point counts past p: K and M (exact for the
-# enrichment products), the error norms and the alignment, and the load.
+# Gauss point counts past p of the rules for K and M, the norms, and the load
 RULES = MATRIX_RULE, NORM_RULE, LOAD_RULE = 2, 4, 6
 
 
@@ -97,27 +91,28 @@ class EnrichedSpace:
 
     @cached_property  # kept in the instance __dict__: freed with the space
     def panel_layout(self):
-        """What every panel_basis call shares, read-only: the panel ends lo, hi; each
-        panel's Lagrange rows (-1: a Dirichlet boundary node) and element size h; the
-        slice of the panels at gamma, their rows (enrichment last) and their own tables
-        {n: (vals, ders)} for the n = p + RULES rules, from one evaluation; the first
-        panel of each distinct size (negated on the kappa1 side, 0 at gamma) and each
-        panel's."""
-        mesh, p, nf = self.mesh, self.p, self.n_fem
+        """What every panel_basis call shares, read-only: the panel ends lo, hi; each panel's
+        Lagrange rows (-1: a Dirichlet boundary node) and element size h; the panels at gamma
+        (a slice), their rows (enrichment last) and own tables for the p + RULES rules; the
+        first panel of each distinct size (negated past gamma, 0 at it) and each panel's."""
+        mesh, p, nf, r = self.mesh, self.p, self.n_fem, self.mesh.r
         elements, edges = panels(mesh)
         g = (elements[:, None] - 1) * p + np.arange(p + 1)
         rows, lo, hi = np.where(g <= nf, g - 1, -1), edges[:-1], edges[1:]
         h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-        at = slice(0, 0) if mesh.fitting else slice(mesh.r - 1, mesh.r + 1)
+        at = slice(0, 0) if mesh.fitting else slice(r - 1, r + 1)
         # every point of a whole element lies on its midpoint's side of gamma
         signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
         signed[at] = 0.0  # so the first panel of every other size is a whole element
-        _, first, key = np.unique(signed, return_index=True, return_inverse=True)
+        order = np.argsort(signed, kind="stable")  # the distinct sizes' first panels, keys
+        step = np.concatenate([[True], (s := signed[order])[1:] != s[:-1]])
+        first, key = order[step], np.empty_like(order)
+        key[order] = np.cumsum(step) - 1
         enr = nf + np.arange(self.n_enr)  # the enrichment rows
         gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
         for a in (lo, hi, rows, h, gamma_rows, first, key):
             a.setflags(write=False)
-        tables = _gamma_tables(self, lo[at], hi[at], h[at], tuple(p + k for k in RULES))
+        tables = _gamma_tables(self, h[r - 1], tuple(p + k for k in RULES))
         return lo, hi, rows, h, at, gamma_rows, tables, first, key
 
 
@@ -133,12 +128,10 @@ class DofVector:
 
 
 def build_space(mesh, p, enrich=True):
-    """Construct the degree-p space, enriched by the p+1 products w * N_j of the
-    interface element's nodal functions; enrichment is dropped on fitting meshes."""
+    """Construct the degree-p space, with the p+1 products w N_j unless the mesh fits."""
     if p < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {p}")
-    enriched = bool(enrich) and not mesh.fitting
-    nodes = range((mesh.r - 1) * p, mesh.r * p + 1) if enriched else ()
+    nodes = range((mesh.r - 1) * p, mesh.r * p + 1) if enrich and not mesh.fitting else ()
     return EnrichedSpace(p, mesh, tuple(nodes))
 
 
@@ -146,8 +139,7 @@ def eval_fem_basis(space, j, x, deriv=0):
     """Value or first derivative of the j-th interior global shape function."""
     if not 1 <= j <= space.n_fem:
         raise IndexError(f"basis index {j} outside 1..{space.n_fem}")
-    mesh, p = space.mesh, space.p
-    k = locate(mesh, x)
+    mesh, p, k = space.mesh, space.p, locate(space.mesh, x)
     i = j - (k - 1) * p
     if not 0 <= i <= p:
         return 0.0
@@ -163,20 +155,14 @@ def eval_enrichment(space, x, deriv=0):
     fitting meshes.
     """
     mesh = space.mesh
-    if mesh.fitting:
-        return 0.0
     a, b = mesh.element_bounds(mesh.r)
-    if x < a or x > b:
+    if mesh.fitting or x < a or x > b:
         return 0.0
-    g = mesh.gamma
-    h = b - a
-    if deriv == 0:
-        interp = (g - a) + (x - a) * ((b - g) - (g - a)) / h
-        return interp - abs(x - g)
-    slope_interp = ((b - g) - (g - a)) / h
-    # d|x-gamma|/dx with right-limit convention at gamma
-    dwstar = -1.0 if x < g else 1.0
-    return slope_interp - dwstar
+    g, h = mesh.gamma, b - a
+    if deriv == 0:  # the interpolant of w* at a and b, minus w*
+        return (g - a) + (x - a) * ((b - g) - (g - a)) / h - abs(x - g)
+    # the interpolant's slope minus d|x-gamma|/dx, its right limit at gamma
+    return ((b - g) - (g - a)) / h - (-1.0 if x < g else 1.0)
 
 
 def reference_enrichment(nu, t, deriv=0):
@@ -197,23 +183,17 @@ def represent_piecewise_poly(a, b, nu, p):
     """
     if not 0.0 < nu < 1.0:
         raise InvalidArgumentError(f"nu must lie in (0, 1), got {nu}")
-    a = np.asarray(a, dtype=float).copy()
-    b = np.asarray(b, dtype=float).copy()
+    a, b = (np.array(c, dtype=float) for c in (a, b))  # copies
     if a.shape != (p + 1,) or b.shape != (p + 1,):
         raise InvalidArgumentError("coefficient arrays must have length p+1")
-    # continuity at nu fixes b0
-    b[0] = a[0] + sum((a[l] - b[l]) * nu**l for l in range(1, p + 1))
-
+    b[0] = a[0] + sum((a[l] - b[l]) * nu**l for l in range(1, p + 1))  # continuity at nu
     # Matching monomial coefficients on each piece gives, after eliminating
-    # alpha, the recursion beta_{k-1} = (a_k - b_k)/2 + nu*beta_k.
+    # alpha, the recursion beta_{k-1} = (a_k - b_k)/2 + nu*beta_k; then
+    # alpha_k = a_k - 2 (1 - nu) beta_{k-1}, with alpha_0 = a_0.
     beta = np.zeros(p + 1)
     for k in range(p, 0, -1):
         beta[k - 1] = 0.5 * (a[k] - b[k]) + nu * beta[k]
-    alpha = np.empty(p + 1)
-    alpha[0] = a[0]
-    for k in range(1, p + 1):
-        alpha[k] = a[k] - 2.0 * (1.0 - nu) * beta[k - 1]
-    return alpha, beta
+    return a - 2.0 * (1.0 - nu) * np.append(0.0, beta[:-1]), beta
 
 
 def build_interface_interpolant(u0, u1, space):
@@ -227,8 +207,7 @@ def build_interface_interpolant(u0, u1, space):
     mesh, p, g = space.mesh, space.p, space.mesh.gamma
     v0, v1 = u0(g), u1(g)
     if abs(v0 - v1) > 1e-10 * (1.0 + abs(v0)):
-        raise DiscontinuousInputError(
-            f"u0(gamma)={v0} and u1(gamma)={v1} disagree")
+        raise DiscontinuousInputError(f"u0(gamma)={v0} and u1(gamma)={v1} disagree")
     if not space.enriched:
         raise InvalidArgumentError("space must be enriched (non-fitting mesh)")
 
@@ -252,8 +231,7 @@ def build_interface_interpolant(u0, u1, space):
     # the interior nodes (never on the boundary) so neighbours stay untouched
     uF[space.element_dofs(r)[1:p] - 1] += q[1:p]
     # actual enrichment = h * reference enrichment, so coefficients shrink by h
-    uE = gb / h
-    return DofVector(u_F=uF, u_E=uE)
+    return DofVector(u_F=uF, u_E=gb / h)
 
 
 @dataclass(frozen=True)
@@ -291,9 +269,8 @@ def reference_tables(p, n):
 
 
 def _enrichment(space, t, vals, ders):
-    """Values and x-derivatives, function axis first, of the enrichment functions w N_j at
-    points t of the interface element's [0, 1], from its Lagrange vals and x-ders there
-    (none on an unenriched space)."""
+    """Values and x-derivatives, function axis first, of the enrichment functions w N_j (if
+    any) at points t of the interface element's [0, 1], from its Lagrange vals and x-ders."""
     mesh, n = space.mesh, space.n_enr
     a, b = mesh.element_bounds(mesh.r)
     nu = (mesh.gamma - a) / (b - a)
@@ -301,26 +278,29 @@ def _enrichment(space, t, vals, ders):
     return w * vals[:n], dw * vals[:n] + w * ders[:n]
 
 
-@cache  # per tuple of point counts, like gauss_rule
-def _joint_rule(ns):
-    """The Gauss rules of ns points, side by side, as one QuadRule."""
-    rules = [gauss_rule(n) for n in ns]
-    return QuadRule(sum(ns), np.concatenate([r.points for r in rules]),
-                    np.concatenate([r.weights for r in rules]))
+@cache  # per tuple of point counts, read-only, like gauss_rule
+def _joint_points(ns):
+    """The points on [-1, 1] of the Gauss rules of ns points, side by side."""
+    (points := np.concatenate([gauss_rule(n).points for n in ns])).setflags(write=False)
+    return points
 
 
-def _gamma_tables(space, lo, hi, h, ns):
-    """{n: (vals, ders)}, read-only, (panels, functions, n), for each n of ns: every
-    function living on the panels [lo, hi] at gamma (element size h), from one _lagrange
-    and one _enrichment call at the points of all the rules."""
-    a = space.mesh.nodes[space.mesh.r - 1]  # [lo, hi] is [0, nu] or [nu, 1] in [0, 1]
-    t = composite_rule((lo - a) / h, (hi - a) / h, _joint_rule(ns))[0]
-    gv, gd = _lagrange(space.p, t)
-    gd = gd / h[:, None]
-    gv, gd = (np.concatenate(f) for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
+def _gamma_tables(space, h, ns):
+    """{n: (vals, ders)}, read-only, (panels, functions, n), of every function on [0, nu] and
+    [nu, 1] of the interface element (size h), from one _lagrange and _enrichment call."""
+    mesh, p = space.mesh, space.p
+    if mesh.fitting:
+        return {n: 2 * (np.empty((0, p + 1, n)),) for n in ns}
+    nu = float((mesh.gamma - mesh.nodes[mesh.r - 1]) / h)
+    # composite_rule's mid + half * points on the two panels, in floats: the same bits
+    mid, half = [[0.5 * nu], [0.5 * (nu + 1.0)]], [[0.5 * nu], [0.5 * (1.0 - nu)]]
+    t = np.add(mid, np.multiply(half, _joint_points(ns)))
+    gv, gd = _lagrange(p, t)
+    gd = gd / h
+    gv, gd = (np.concatenate(f).transpose(1, 0, 2)
+              for f in zip((gv, gd), _enrichment(space, t, gv, gd)))
     for f in (gv, gd):
         f.setflags(write=False)
-    gv, gd = gv.transpose(1, 0, 2), gd.transpose(1, 0, 2)
     return {n: (gv[..., e - n:e], gd[..., e - n:e]) for n, e in zip(ns, accumulate(ns))}
 
 
@@ -332,9 +312,7 @@ def panel_basis(space, n):
     lo, hi, rows, h, at, gamma_rows, tables = space.panel_layout[:7]
     x, w = composite_rule(lo, hi, n)
     _, vals, ders = reference_tables(space.p, n)
-    if n not in tables:
-        tables = _gamma_tables(space, lo[at], hi[at], h[at], (n,))
-    gv, gd = tables[n]
+    gv, gd = tables.get(n) or _gamma_tables(space, h[space.mesh.r - 1], (n,))[n]
     return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0], (at, gamma_rows, gv, gd))
 
 
@@ -349,7 +327,6 @@ def eval_solution(space, dofs, x, deriv=0):
     vals, ders = _lagrange(p, t := (x.ravel() - a) / (b - a))
     ders, g = ders / (b - a), (k - 1) * p + np.arange(p + 1)[:, None]
     out = np.sum(c[np.where(g <= space.n_fem, g - 1, -1)] * (ders if deriv else vals), 0)
-    if space.n_enr:
-        on = k == mesh.r
-        out[on] += dofs.u_E @ _enrichment(space, t[on], vals[:, on], ders[:, on])[deriv]
+    on = k == mesh.r  # the enrichment, if any, lives on the interface element
+    out[on] += dofs.u_E @ _enrichment(space, t[on], vals[:, on], ders[:, on])[deriv]
     return out.reshape(x.shape)

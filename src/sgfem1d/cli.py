@@ -79,15 +79,11 @@ def _dump_matrices(cfg, directory, gamma, eta):
 def _dump_function(cfg, gamma, eta, idx, path):
     pairs = solve_matching_system(gamma, eta, idx)
     exact = exact_eigenfunction(pairs[idx - 1])
-    method = cfg.methods[0]
-    p, N = cfg.degrees[0], cfg.Ns[-1]
-    mesh = build_uniform_mesh(N, gamma)
-    space = build_space(mesh, p, enrich=(method == "SGFEM"))
+    mesh = build_uniform_mesh(cfg.Ns[-1], gamma)
+    space = build_space(mesh, cfg.degrees[0], enrich=(cfg.methods[0] == "SGFEM"))
     system = assemble(space, InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=eta))
-    sol = generalized_eigs(system.K, system.M, idx)
-    vec = sol.vectors[:, idx - 1]
-    dofs = DofVector(vec[:space.n_fem], vec[space.n_fem:])
-    dofs = align_eigenfunction(dofs, space, exact)
+    vec = generalized_eigs(system.K, system.M, idx).vectors[:, idx - 1]
+    dofs = align_eigenfunction(DofVector(vec[:space.n_fem], vec[space.n_fem:]), space, exact)
     xs = np.linspace(0.0, 1.0, 1000)
     np.savetxt(path, np.column_stack([xs, eval_solution(space, dofs, xs),
                                       exact.value(xs)]),
@@ -95,9 +91,8 @@ def _dump_function(cfg, gamma, eta, idx, path):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -35,8 +35,8 @@ def gauss_rule(n):
 
 def composite_rule(lo, hi, n):
     """Points and weights, each of shape (panels, n), of the n-point Gauss
-    rule (or of the QuadRule n) on every panel [lo[i], hi[i]]."""
-    rule = n if isinstance(n, QuadRule) else gauss_rule(n)
+    rule on every panel [lo[i], hi[i]]."""
+    rule = gauss_rule(n)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
     return mid + half * rule.points, half * rule.weights

@@ -54,9 +54,8 @@ class SweepConfig:
             raise InvalidArgumentError("eigen indices are 1-based")
         if self.case not in (*CASES, "custom", "manufactured"):
             raise InvalidArgumentError(f"unknown case {self.case!r}")
-        for m in self.methods:
-            if m not in ("FEM", "SGFEM"):
-                raise InvalidArgumentError(f"unknown method {m!r}")
+        if unknown := sorted(set(self.methods) - {"FEM", "SGFEM"}):
+            raise InvalidArgumentError(f"unknown method {unknown[0]!r}")
 
 
 @dataclass
@@ -96,9 +95,8 @@ def _sweep(cfg, gamma, cell, meta=None):
                     space = build_space(mesh, p, enrich=(method == "SGFEM"))
                     if method == "SGFEM" and mesh.fitting:
                         fitting_cells.append((p, N))
-                    rows.extend(cell(
-                        space, method,
-                        lambda text: warnings.append(f"{label} {text}")))
+                    rows.extend(cell(space, method,
+                                     lambda text: warnings.append(f"{label} {text}")))
                 except Exception as exc:
                     # what add_note does, also on Python 3.10
                     exc.__notes__ = [*getattr(exc, "__notes__", ()), label]
@@ -134,9 +132,8 @@ def run_source_sweep(cfg):
 def _check_gaps(pairs, indices):
     lam = [p.lam for p in pairs]
     for idx in indices:
-        i = idx - 1
-        for j in (i - 1, i + 1):
-            if 0 <= j < len(lam) and abs(lam[i] - lam[j]) <= 0.01 * lam[i]:
+        for j in (idx - 2, idx):  # the neighbours of lam[idx - 1]
+            if 0 <= j < len(lam) and abs(lam[idx - 1] - lam[j]) <= 0.01 * lam[idx - 1]:
                 raise EigenvalueMismatchError(
                     f"exact eigenvalues {idx} and {j + 1} closer than 1%")
 
