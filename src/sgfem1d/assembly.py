@@ -41,8 +41,7 @@ class BlockSystem:
     (else None), read-only, FEM rows first and enrichment rows after.  K and
     M are densela.BandMatrix objects over lower bands in the solver's order
     (M's built by ``mass`` on first read: a source problem needs only K and
-    F).  K_FF, K_FE and K_EE are views into the dense np.asarray(K), which
-    only benchmarks/spans.py reads, until it reads K's band instead."""
+    F).  K_FF, K_FE and K_EE are scipy CSR blocks of K.csr."""
 
     def __init__(self, order, kb, mass, F, n_fem):
         if F is not None:

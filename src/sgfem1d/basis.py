@@ -57,18 +57,16 @@ def _lagrange(p, t):
 class EnrichedSpace:
     """Degree-p approximation space on a mesh, optionally SGFEM-enriched.
 
-    enriched_set holds the global node indices whose nodal functions are
-    multiplied by the enrichment (all p+1 nodes of the interface element, or
-    none); the counts n_fem, n_enr and the flag enriched are derived from p,
-    mesh and it.
+    If enriched, the nodal functions of all p+1 nodes of the interface
+    element are multiplied by the enrichment; the counts n_fem and n_enr are
+    derived from p, mesh and the flag.
     """
 
     p: int
     mesh: object
-    enriched_set: tuple
+    enriched: bool
     n_fem = property(lambda self: self.p * self.mesh.N - 1)
-    n_enr = property(lambda self: len(self.enriched_set))
-    enriched = property(lambda self: bool(self.enriched_set))
+    n_enr = property(lambda self: (self.p + 1) * self.enriched)
 
     def global_node_x(self, g):
         """Coordinate of global node g (0 <= g <= p*N), or of each g of an array."""
@@ -131,8 +129,7 @@ def build_space(mesh, p, enrich=True):
     """Construct the degree-p space, with the p+1 products w N_j unless the mesh fits."""
     if p < 1:
         raise InvalidArgumentError(f"degree must be >= 1, got {p}")
-    nodes = range((mesh.r - 1) * p, mesh.r * p + 1) if enrich and not mesh.fitting else ()
-    return EnrichedSpace(p, mesh, tuple(nodes))
+    return EnrichedSpace(p, mesh, bool(enrich) and not mesh.fitting)
 
 
 def eval_fem_basis(space, j, x, deriv=0):

@@ -69,8 +69,8 @@ def _dump_matrices(cfg, directory, gamma, eta):
     def cell(space, method, warn):
         system = assemble(space, prob)
         tag = f"{method.lower()}_p{space.p}_N{space.mesh.N}"
-        scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), np.asarray(system.K))
-        scipy.io.mmwrite(os.path.join(directory, f"M_{tag}.mtx"), np.asarray(system.M))
+        scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), system.K.csr)
+        scipy.io.mmwrite(os.path.join(directory, f"M_{tag}.mtx"), system.M.csr)
         return []
 
     sweep_mod._sweep(cfg, gamma, cell)

@@ -5,8 +5,9 @@ The matrices are banded except for the enrichment rows, which sit at the
 end.  Rows ordered by their first nonzero column (stably) put every
 enrichment row next to its interface element: half-bandwidth at most 2p+1
 for SGFEM, p for FEM.  A BandMatrix (an assembled system's K or M) holds
-that order and its band; dense input must be finite and symmetric, and is
-scanned for its pattern.  K is factored by LAPACK's banded Cholesky (dpbtrf).
+that order and its band, which the solvers read, and a scipy CSR copy for
+everything else; dense input must be finite and symmetric, and is scanned
+for its pattern.  K is factored by LAPACK's banded Cholesky (dpbtrf).
 
 Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 (scipy's eigsh) in standard mode, as the largest of one symmetric band
@@ -30,7 +31,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dsbmv
-from scipy.sparse import dia_array
+from scipy.sparse import csr_array, dia_array
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .exceptions import (ConvergenceFailureError, InvalidArgumentError,
@@ -45,28 +46,31 @@ class EigenSolution:
     vectors: np.ndarray
 
 
-def _product(ab):
-    """x -> A x for the symmetric A of the lower band ab and x of shape (n,),
-    by dsbmv, or (n, m), by one scipy DIA product for all the columns."""
+def _dia(ab):
+    """The symmetric n x n matrix of the lower band ab as a scipy DIA array."""
     kd, n = len(ab) - 1, ab.shape[1]
     data = np.vstack([ab, np.zeros((kd, n))])  # offsets 0, -1, .., -kd, 1, .., kd
     for d in range(1, kd + 1):  # upper diagonal d: the lower one shifted right
         data[kd + d, d:] = ab[d, :n - d]
-    block = dia_array((data, np.r_[:-kd - 1:-1, 1:kd + 1]), shape=(n, n))
-    ab = np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
-    return lambda x: dsbmv(kd, 1.0, ab, x, lower=1) if x.ndim == 1 else block @ x
+    return dia_array((data, np.r_[:-kd - 1:-1, 1:kd + 1]), shape=(n, n))
+
+
+def _product(ab):
+    """x -> A x for the symmetric A of the lower band ab and x of shape (n,),
+    by dsbmv, or (n, m), by one scipy DIA product for all the columns."""
+    block, ab = _dia(ab), np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
+    return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1) if x.ndim == 1 else block @ x
 
 
 class BandMatrix:
     """Read-only symmetric n x n matrix held as its lower band ab in the row
-    order ``order`` (new position -> row): band = (order, ab).  A @ x and
-    x @ A are band products in natural row order; np.asarray(A) builds the
-    dense matrix once and keeps it, read-only, and indexing reads it."""
+    order ``order`` (new position -> row): band = (order, ab).  A @ x, x @ A,
+    indexing and np.asarray(A) read one scipy CSR array of A's nonzeros in
+    natural row order, built from the band on first use."""
 
     __array_priority__ = 1000  # x @ A defers to A.__rmatmul__
     ndim, dtype = 2, np.dtype(float)
     T = property(lambda self: self)
-    _op = cached_property(lambda self: _product(self.band[1]))
 
     def __init__(self, order, ab):
         ab.setflags(write=False)
@@ -75,31 +79,25 @@ class BandMatrix:
     def __len__(self):
         return self.shape[0]
 
+    @cached_property
+    def csr(self):
+        order, B = self.band[0], _dia(self.band[1]).tocoo()  # B = A[order][:, order]
+        return csr_array((B.data, (order[B.row], order[B.col])), shape=self.shape)
+
     def __matmul__(self, x):
-        order, x = self.band[0], np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         if x.shape[:1] != self.shape[1:]:
             raise ValueError(f"matmul: {self.shape} @ {x.shape}")
-        y = np.empty(x.shape)
-        y[order] = self._op(x[order])
-        return y
+        return self.csr @ x
 
     def __rmatmul__(self, x):
         return (self @ np.asarray(x).T).T
 
-    @cached_property
-    def _dense(self):
-        (order, ab), n = self.band, len(self)
-        A = np.zeros((n, n))
-        for d in range(len(ab)):  # band row d holds A[order[j + d], order[j]]
-            A[order[d:], order[:n - d]] = A[order[:n - d], order[d:]] = ab[d, :n - d]
-        A.setflags(write=False)
-        return A
-
     def __array__(self, dtype=None, copy=None):
-        return np.array(self._dense, dtype=dtype, copy=copy)
+        return np.asarray(self.csr.toarray(), dtype=dtype)
 
     def __getitem__(self, index):
-        return np.asarray(self)[index]
+        return self.csr[index]
 
 
 def _symmetric(A, n=None):
@@ -147,9 +145,11 @@ def _band_form(n, rows, cols):
 
 def _banded(*mats):
     """_band_form of the square symmetric matrices' union pattern: the one
-    BandMatrix objects of one order hold, else found by a dense scan."""
+    BandMatrix objects of one order (equal by value) hold, else found by a
+    dense scan."""
     carried = [getattr(A, "band", None) for A in mats]
-    if all(b is not None and b[0] is carried[0][0] for b in carried):
+    if all(b is not None and (b[0] is carried[0][0] or np.array_equal(b[0], carried[0][0]))
+           for b in carried):
         return carried[0][0], [ab for _, ab in carried]
     first = _symmetric(mats[0])
     mats = [first] + [_symmetric(A, len(first)) for A in mats[1:]]
@@ -235,10 +235,10 @@ def scaled_condition_number(A):
     s = 1.0 / np.sqrt(ab[0])
     # entry (d, j) of the band sits in row j + d (past the end: a zero)
     ab = ab * np.array([np.roll(s, -d) for d in range(len(ab))]) * s
-    c = _factor(ab)
+    c, kd, ab = _factor(ab), len(ab) - 1, np.asfortranarray(ab)
     if len(s) == 1:  # ARPACK needs n >= 2
         return 1.0
     # 6 vectors find the isolated 1/lambda_min in 7-10 solves, not 21; lambda_max may sit
     # in a cluster (p = 1 FEM, N = 640: 17428 products with 6 vectors, 1581 with the 20)
-    return (_lanczos(_product(ab), len(s))[0][0] * _lanczos(
+    return (_lanczos(lambda x: dsbmv(kd, 1.0, ab, x, lower=1), len(s))[0][0] * _lanczos(
         lambda x: lapack.dpbtrs(c, x, lower=1)[0], len(s), ncv=min(len(s), 6))[0][0])

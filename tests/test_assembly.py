@@ -67,8 +67,14 @@ def test_block_shapes(small_sgfem_system):
     assert sys_.K_FF.shape == (nf, nf)
     assert sys_.K_FE.shape == (nf, ne)
     assert sys_.K_EE.shape == (ne, ne)
-    np.testing.assert_array_equal(sys_.K_FE, np.asarray(sys_.K)[nf:, :nf].T)
     assert sys_.K.shape == (nf + ne, nf + ne)
+    # CSR slices of K, entry for entry the blocks of the dense K
+    D = np.asarray(sys_.K)
+    np.testing.assert_array_equal(D[nf:, :nf], D[:nf, nf:].T)
+    for block, want in ((sys_.K_FF, D[:nf, :nf]), (sys_.K_FE, D[:nf, nf:]),
+                        (sys_.K_EE, D[nf:, nf:])):
+        assert block.format == "csr"
+        np.testing.assert_array_equal(block.toarray(), want)
 
 
 def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
@@ -86,7 +92,7 @@ def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     assert len(calls) == 1  # K only: a source problem needs K and F
     M = sys_.M
     assert len(calls) == 2
-    assert sys_.M is M and not np.asarray(M).flags.writeable
+    assert sys_.M is M and not M.band[1].flags.writeable
     assert len(calls) == 2
 
 
@@ -258,7 +264,8 @@ def _brute_force_system(space, prob):
         fem = [eval_fem_basis(space, j, x, deriv) for j in range(1, nf + 1)]
         w, dw = eval_enrichment(space, x), eval_enrichment(space, x, 1)
         enr = [dw * node(g, x) + w * node(g, x, 1) if deriv else w * node(g, x)
-               for g in space.enriched_set]
+               for g in range((mesh.r - 1) * space.p, mesh.r * space.p + 1)
+               if space.enriched]
         return np.array(fem + enr)
 
     for k in range(1, mesh.N + 1):
@@ -336,8 +343,8 @@ def _per_panel_bands(space, prob):
         ders = ders / h
         g = (e - 1) * p + np.arange(p + 1)
         r = list(np.where(g <= nf, g - 1, -1))
-        if space.n_enr and e == mesh.r:
-            local = np.array(space.enriched_set) - (e - 1) * p
+        if space.enriched and e == mesh.r:
+            local = np.arange(p + 1)  # every node of the interface element
             we, dw = h * reference_enrichment(nu, t[0]), reference_enrichment(nu, t[0], 1)
             vals, ders = (np.concatenate([vals, we * vals[local]]),
                           np.concatenate([ders, dw * vals[local] + we * ders[local]]))

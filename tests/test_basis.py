@@ -143,20 +143,18 @@ def test_invalid_degree_rejected():
 @pytest.mark.parametrize("gamma", [1.0 / 3.0, 0.5, 0.01, 0.99])
 @pytest.mark.parametrize("enrich", [False, True])
 def test_counts_are_derived_from_the_space(gamma, enrich):
-    # a space stores p, mesh and enriched_set only: no constructor can be
-    # given counts that disagree with them
+    # a space stores p, mesh and the enriched flag only: no constructor can
+    # be given counts that disagree with them
     mesh = build_uniform_mesh(10, gamma)
     space = build_space(mesh, 3, enrich=enrich)
-    assert [f.name for f in dataclasses.fields(space)] == ["p", "mesh", "enriched_set"]
+    assert [f.name for f in dataclasses.fields(space)] == ["p", "mesh", "enriched"]
     assert space.n_fem == 3 * 10 - 1
-    assert space.n_enr == len(space.enriched_set)
-    assert space.enriched == (enrich and not mesh.fitting) == (space.n_enr > 0)
+    assert space.enriched == (enrich and not mesh.fitting)
     # every node of the interface element, the boundary node included when
     # gamma lies in the first (0.01) or the last (0.99) element
-    r = mesh.r
-    assert space.enriched_set == (tuple(range(3 * (r - 1), 3 * r + 1)) if space.enriched else ())
+    assert space.n_enr == (4 if space.enriched else 0)
     with pytest.raises(TypeError):
-        EnrichedSpace(p=3, mesh=mesh, enriched_set=(), n_fem=29)
+        EnrichedSpace(p=3, mesh=mesh, enriched=False, n_fem=29)
 
 
 def test_fem_basis_index_out_of_range():
@@ -463,8 +461,8 @@ def _direct_panel_tables(space, n):
         vals, ders = _lagrange(p, t)
         h = mesh.nodes[e] - mesh.nodes[e - 1]
         ders = ders / h
-        if space.n_enr and e == mesh.r:
-            local = np.array(space.enriched_set) - (e - 1) * p
+        if space.enriched and e == mesh.r:
+            local = np.arange(p + 1)  # every node of the interface element
             w, dw = h * reference_enrichment(nu, t), reference_enrichment(nu, t, 1)
             vals, ders = (np.concatenate([vals, w * vals[local]]),
                           np.concatenate([ders, dw * vals[local] + w * ders[local]]))

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, outputs, file emission."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from sgfem1d import densela, sweep
+from sgfem1d import (InterfaceProblem, assemble, build_space, build_uniform_mesh,
+                     densela, sweep)
 from sgfem1d.cli import main
 from sgfem1d.exceptions import InvalidArgumentError, NotPositiveDefiniteError
 
@@ -122,9 +125,32 @@ def test_dump_matrices(tmp_path, capsys):
                  "--dump-matrices", str(d)])
     capsys.readouterr()
     assert code == 0
-    K = np.asarray(scipy.io.mmread(d / "K_sgfem_p1_N10.mtx"))
+    K = scipy.io.mmread(d / "K_sgfem_p1_N10.mtx").toarray()  # coordinate format
     assert K.shape == (11, 11)  # 9 FEM + 2 enrichment dofs
     np.testing.assert_allclose(K, K.T, atol=1e-12)
+    # every matrix of every cell reads back entry for entry
+    prob = InterfaceProblem(gamma=1.0 / 3.0, kappa0=1.0, kappa1=4.0)
+    for N in (10, 20):
+        system = assemble(build_space(build_uniform_mesh(N, 1.0 / 3.0), 1), prob)
+        for name in ("K", "M"):
+            got = scipy.io.mmread(d / f"{name}_sgfem_p1_N{N}.mtx").toarray()
+            np.testing.assert_array_equal(got, np.asarray(getattr(system, name)))
+
+
+def test_dump_matrices_memory_is_linear_in_ndof(tmp_path, capsys):
+    import scipy.io
+    # p = 3, N = 10^4: ndof 30003, so a dense K or M would take 7.2 GB
+    tracemalloc.start()
+    try:
+        code = main(["source", "--p", "3", "--N", "10000", "--methods", "sgfem",
+                     "--dump-matrices", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0 and peak < 850 * 30003
+    K = scipy.io.mmread(tmp_path / "K_sgfem_p3_N10000.mtx")
+    assert K.shape == (30003, 30003) and abs(K - K.T).max() == 0.0
 
 
 def test_dump_function(tmp_path, capsys):

@@ -526,7 +526,9 @@ def test_assembled_band_equals_pattern_scan(cell):
 def test_derived_arrays_carry_no_band(small_sgfem_system):
     _, system = small_sgfem_system
     K = system.K
-    assert K.band is not None and not np.asarray(K).flags.writeable
+    assert K.band is not None and not K.band[1].flags.writeable
+    np.asarray(K)[0, 0] = 1e300  # a fresh array: writing it leaves K as it was
+    assert K[0, 0] != 1e300
     x = np.ones(len(K))
     D = np.asarray(K)
     for A in (D.T, K[:5, :5], K[::-1], K @ x, K @ K, 2.0 * D, D.copy(),
@@ -534,7 +536,7 @@ def test_derived_arrays_carry_no_band(small_sgfem_system):
         assert getattr(A, "band", None) is None
 
 
-def test_matrices_of_two_systems_take_the_pattern_path(monkeypatch):
+def test_matrices_of_two_systems_take_the_band_path(monkeypatch):
     scans = []
     band_form = densela._band_form
     monkeypatch.setattr(densela, "_band_form",
@@ -545,7 +547,19 @@ def test_matrices_of_two_systems_take_the_pattern_path(monkeypatch):
     solve_spd(one.K, one.F)
     scaled_condition_number(one.K)
     assert scans == []  # an assembled system's own K and M carry one order
+    assert one.K.band[0] is not two.M.band[0]
     got = generalized_eigs(one.K, two.M, 3)
+    assert scans == []  # two assemblies of one space give equal orders
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
+    # the band of M in another row order (reversed: still a band) takes the
+    # pattern path, a scan of the union of K and M, to the same pairs
+    D, order = np.asarray(two.M), two.M.band[0][::-1].copy()
+    B = D[np.ix_(order, order)]
+    M = BandMatrix(order, np.array([np.append(np.diag(B, -d), np.zeros(d))
+                                    for d in range(len(two.M.band[1]))]))
+    assert np.array_equal(np.asarray(M), D)
+    got = generalized_eigs(one.K, M, 3)
     assert len(scans) == 1
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.vectors, want.vectors)
