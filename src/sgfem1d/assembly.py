@@ -5,10 +5,10 @@ All integrals use panel-wise Gauss quadrature split at the interface
 each panel; p+2 points per panel integrate the enrichment products
 exactly.  A whole element's matrices depend only on its size and side of
 gamma, so there is one per distinct pair; with the two panels at gamma they
-are joined in panel order and summed by one scatter straight into LAPACK
-lower band storage, in the row order the solver factors in, held as
-densela.BandMatrix objects: O(ndof) memory, and a dense matrix only where
-np.asarray asks for one.
+are joined in panel order and summed by one scatter straight into LAPACK's
+column-major lower band storage, in the row order the solver factors in,
+held once as densela.BandMatrix objects: O(ndof) memory, no solver copies
+a band, and a dense matrix only where np.asarray asks for one.
 """
 
 from dataclasses import dataclass

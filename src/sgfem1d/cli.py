@@ -68,9 +68,9 @@ def _dump_matrices(cfg, directory, gamma, eta):
 
     def cell(space, method, warn):
         system = assemble(space, prob)
-        tag = f"{method.lower()}_p{space.p}_N{space.mesh.N}"
-        scipy.io.mmwrite(os.path.join(directory, f"K_{tag}.mtx"), system.K.csr)
-        scipy.io.mmwrite(os.path.join(directory, f"M_{tag}.mtx"), system.M.csr)
+        path = os.path.join(directory, f"%s_{method.lower()}_p{space.p}_N{space.mesh.N}.mtx")
+        for name in "KM":  # a symmetric file holds the lower triangle only
+            scipy.io.mmwrite(path % name, getattr(system, name).csr, symmetry="symmetric")
         return []
 
     sweep_mod._sweep(cfg, gamma, cell)

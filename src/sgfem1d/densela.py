@@ -5,9 +5,9 @@ The matrices are banded except for the enrichment rows, which sit at the
 end.  Rows ordered by their first nonzero column (stably) put every
 enrichment row next to its interface element: half-bandwidth at most 2p+1
 for SGFEM, p for FEM.  A BandMatrix (an assembled system's K or M) holds
-that order and its band, which the solvers read, and a scipy CSR copy for
-everything else; dense input must be finite and symmetric, and is scanned
-for its pattern.  K is factored by LAPACK's banded Cholesky (dpbtrf).
+that order and its lower band, column-major as dsbmv and dpbtrf (banded
+Cholesky) read it, so no solver copies it, and a scipy CSR form for all
+else; dense input must be finite and symmetric, and is scanned for its pattern.
 
 Eigenvalues come from ARPACK's implicitly restarted Lanczos method
 (scipy's eigsh) in standard mode, as the largest of one symmetric band
@@ -58,7 +58,7 @@ def _dia(ab):
 def _product(ab):
     """x -> A x for the symmetric A of the lower band ab and x of shape (n,),
     by dsbmv, or (n, m), by one scipy DIA product for all the columns."""
-    block, ab = _dia(ab), np.asfortranarray(ab)  # dsbmv would copy a C-ordered band per call
+    block = _dia(ab)
     return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1) if x.ndim == 1 else block @ x
 
 
@@ -121,7 +121,7 @@ def _band_form(n, rows, cols):
     """For n x n symmetric matrices with entries at (rows, cols) (index
     arrays that broadcast, -1: none), the row order (new position -> old
     row) by first coupled column, stably, and a function that sums values
-    given at (rows, cols), in input order, into lower band storage in it."""
+    given at (rows, cols), in input order, into column-major lower band storage in it."""
     rows, cols = np.broadcast_arrays(rows, cols)
     keep = (rows >= 0) & (cols >= 0)
     first = np.arange(n)
@@ -130,15 +130,15 @@ def _band_form(n, rows, cols):
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     i, j = pos[rows], pos[cols]
-    i -= j  # in place: each entry's subdiagonal, then its index in the band
+    i -= j  # in place: each entry's subdiagonal d, then j becomes its index j * width + d
     lower = keep & (i >= 0)
-    size = (int(np.max(i, where=lower, initial=0)) + 1) * n
-    index = np.where(lower, np.add(np.multiply(i, n, out=i), j, out=i), size).ravel()
+    width = int(np.max(i, where=lower, initial=0)) + 1
+    index = np.where(lower, np.add(np.multiply(j, width, out=j), i, out=j), width * n).ravel()
 
     def band(vals):
         # the extra bin takes the dropped entries
         return np.bincount(index, weights=vals.ravel(),
-                           minlength=size + 1)[:size].reshape(-1, n)
+                           minlength=width * n + 1)[:width * n].reshape(n, -1).T
 
     return order, band
 
@@ -233,9 +233,9 @@ def scaled_condition_number(A):
     if np.any(ab[0] <= 0.0):
         raise NotPositiveDefiniteError("diagonal has nonpositive entries")
     s = 1.0 / np.sqrt(ab[0])
-    # entry (d, j) of the band sits in row j + d (past the end: a zero)
-    ab = ab * np.array([np.roll(s, -d) for d in range(len(ab))]) * s
-    c, kd, ab = _factor(ab), len(ab) - 1, np.asfortranarray(ab)
+    # entry (d, j) sits in row j + d (past the end: a zero); column-major, as dsbmv reads it
+    ab = ab * np.stack([np.roll(s, -d) for d in range(len(ab))], 1).T * s
+    c, kd = _factor(ab), len(ab) - 1
     if len(s) == 1:  # ARPACK needs n >= 2
         return 1.0
     # 6 vectors find the isolated 1/lambda_min in 7-10 solves, not 21; lambda_max may sit

@@ -137,6 +137,30 @@ def test_dump_matrices(tmp_path, capsys):
             np.testing.assert_array_equal(got, np.asarray(getattr(system, name)))
 
 
+def test_dumped_matrices_are_symmetric_lower_triangles(tmp_path, capsys):
+    import scipy.io
+    code = main(["source", "--p", "1,3", "--N", "10,40", "--methods", "sgfem",
+                 "--dump-matrices", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    prob = InterfaceProblem(gamma=1.0 / 3.0, kappa0=1.0, kappa1=4.0)
+    files = 0
+    for p in (1, 3):
+        for N in (10, 40):  # p = 3, N = 40 has 123 rows
+            system = assemble(build_space(build_uniform_mesh(N, 1.0 / 3.0), p), prob)
+            for name in ("K", "M"):
+                path = tmp_path / f"{name}_sgfem_p{p}_N{N}.mtx"
+                lines = path.read_text().splitlines()
+                assert lines[0].split()[1:] == ["matrix", "coordinate", "real", "symmetric"]
+                body = [line.split() for line in lines if not line.startswith("%")]
+                A = np.asarray(getattr(system, name))
+                assert [int(v) for v in body[0]] == [len(A), len(A), np.count_nonzero(np.tril(A))]
+                assert all(int(i) >= int(j) for i, j, _ in body[1:])
+                np.testing.assert_array_equal(scipy.io.mmread(path).toarray(), A)
+                files += 1
+    assert files == len(list(tmp_path.iterdir())) == 8
+
+
 def test_dump_matrices_memory_is_linear_in_ndof(tmp_path, capsys):
     import scipy.io
     # p = 3, N = 10^4: ndof 30003, so a dense K or M would take 7.2 GB

@@ -536,6 +536,26 @@ def test_derived_arrays_carry_no_band(small_sgfem_system):
         assert getattr(A, "band", None) is None
 
 
+def test_bands_are_column_major_and_solvers_read_them_uncopied(monkeypatch):
+    # dpbtrf and dsbmv read column-major bands; f2py copies any other layout
+    _, system = _assemble(1, 160, 0.31, 4.0, True)  # ndof 161: the ARPACK branch
+    K, M = system.K, system.M
+    for ab in (K.band[1], M.band[1]):
+        assert ab.flags.f_contiguous and not ab.flags.writeable
+    _, bands = _banded(np.asarray(K), np.asarray(M))
+    assert all(ab.flags.f_contiguous for ab in bands)
+    seen = []
+    product = densela.dsbmv
+    monkeypatch.setattr(densela, "dsbmv",
+                        lambda kd, alpha, ab, *args, **kw: seen.append(ab)
+                        or product(kd, alpha, ab, *args, **kw))
+    generalized_eigs(K, M, 3)
+    assert seen and all(ab is M.band[1] for ab in seen)
+    seen.clear()
+    scaled_condition_number(K)
+    assert seen and all(ab.flags.f_contiguous for ab in seen)
+
+
 def test_matrices_of_two_systems_take_the_band_path(monkeypatch):
     scans = []
     band_form = densela._band_form
@@ -633,7 +653,7 @@ def test_thin_margin_large_cell_eigenvalues_are_not_below_exact(gamma, eta):
 # assembled pencil lies 1.25e-10 and 1.53e-10 (relative) below the exact one:
 # the rounding floor of K and M, not of the eigensolver.
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="assembled-pencil rounding floor, ROADMAP item 2")
+                   reason="assembled-pencil rounding floor, ROADMAP item 12")
 @pytest.mark.parametrize("gamma,eta", [(0.3788805936238925, 15.175383390373701),
                                        (0.23999914193843971, 1.9940024393387281)])
 def test_drawn_large_cell_eigenvalues_are_not_below_exact(gamma, eta):
