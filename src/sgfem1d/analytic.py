@@ -12,8 +12,6 @@ whose roots omega1 give the eigenvalues lambda = eta * omega1**2.
 """
 
 from dataclasses import dataclass
-from functools import partialmethod
-from typing import Callable
 
 import numpy as np
 
@@ -33,33 +31,28 @@ class ExactEigenpair:
 
 @dataclass(frozen=True)
 class ExactFunction:
-    """Piecewise evaluator for a reference solution and its derivative."""
+    """a0 sin(w0 x) on [0, gamma] and a1 sin(w1 (x - 1)) on [gamma, 1]: its sides
+    f0, f1, their derivatives df0, df1, and the piecewise value and deriv."""
 
     gamma: float
-    f0: Callable
-    f1: Callable
-    df0: Callable
-    df1: Callable
+    a0: float
+    w0: float
+    a1: float
+    w1: float
+
+    f0 = lambda self, x: self.a0 * np.sin(self.w0 * np.asarray(x))
+    f1 = lambda self, x: self.a1 * np.sin(self.w1 * (np.asarray(x) - 1.0))
+    df0 = lambda self, x: self.a0 * self.w0 * np.cos(self.w0 * np.asarray(x))
+    df1 = lambda self, x: self.a1 * self.w1 * np.cos(self.w1 * (np.asarray(x) - 1.0))
+    value = lambda self, x: self._sides(self.f0, self.f1, x)
+    deriv = lambda self, x: self._sides(self.df0, self.df1, x)
 
     def _sides(self, f0, f1, x):
-        """Field f0 at the x <= gamma and f1 at the others, each at its points only."""
+        """f0 at the x <= gamma and f1 at the others, each at its points only."""
         x = np.asarray(x, dtype=float)
         left, out = x <= self.gamma, np.empty(x.shape)
-        out[left], out[~left] = getattr(self, f0)(x[left]), getattr(self, f1)(x[~left])
+        out[left], out[~left] = f0(x[left]), f1(x[~left])
         return out
-
-    value = partialmethod(_sides, "f0", "f1")
-    deriv = partialmethod(_sides, "df0", "df1")
-
-
-def _piecewise_sine(gamma, a0, w0, a1, w1):
-    """a0 sin(w0 x) on [0, gamma] and a1 sin(w1 (x - 1)) on [gamma, 1]."""
-    return ExactFunction(
-        gamma=gamma,
-        f0=lambda x: a0 * np.sin(w0 * np.asarray(x)),
-        f1=lambda x: a1 * np.sin(w1 * (np.asarray(x) - 1.0)),
-        df0=lambda x: a0 * w0 * np.cos(w0 * np.asarray(x)),
-        df1=lambda x: a1 * w1 * np.cos(w1 * (np.asarray(x) - 1.0)))
 
 
 def _matching_F(w, gamma, rho):
@@ -118,7 +111,7 @@ def exact_eigenfunction(pair):
              + d * d * ((1.0 - gamma) / 2.0
                         - np.sin(2.0 * w1 * (1.0 - gamma)) / (4.0 * w1)))
     c = 1.0 / np.sqrt(norm2)
-    return _piecewise_sine(gamma, c, w0, c * d, w1)
+    return ExactFunction(gamma, c, w0, c * d, w1)
 
 
 def manufactured_source():
@@ -130,7 +123,6 @@ def manufactured_source():
     (u, f) with f = -(kappa u')'.
     """
     g = 1.0 / 3.0
-    u = _piecewise_sine(g, 1.0, 6.0 * np.pi, 0.5, 3.0 * np.pi)
-    f = _piecewise_sine(g, 36.0 * np.pi**2, 6.0 * np.pi,
-                        18.0 * np.pi**2, 3.0 * np.pi)
+    u = ExactFunction(g, 1.0, 6.0 * np.pi, 0.5, 3.0 * np.pi)
+    f = ExactFunction(g, 36.0 * np.pi**2, 6.0 * np.pi, 18.0 * np.pi**2, 3.0 * np.pi)
     return u, f.value

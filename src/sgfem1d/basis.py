@@ -102,10 +102,7 @@ class EnrichedSpace:
         # every point of a whole element lies on its midpoint's side of gamma
         signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
         signed[at] = 0.0  # so the first panel of every other size is a whole element
-        order = np.argsort(signed, kind="stable")  # the distinct sizes' first panels, keys
-        step = np.concatenate([[True], (s := signed[order])[1:] != s[:-1]])
-        first, key = order[step], np.empty_like(order)
-        key[order] = np.cumsum(step) - 1
+        _, first, key = np.unique(signed, return_index=True, return_inverse=True)
         enr = nf + np.arange(self.n_enr)  # the enrichment rows
         gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
         for a in (lo, hi, rows, h, gamma_rows, first, key):
@@ -127,9 +124,9 @@ class DofVector:
 
 def build_space(mesh, p, enrich=True):
     """Construct the degree-p space, with the p+1 products w N_j unless the mesh fits."""
-    if p < 1:
-        raise InvalidArgumentError(f"degree must be >= 1, got {p}")
-    return EnrichedSpace(p, mesh, bool(enrich) and not mesh.fitting)
+    if p != int(p) or p < 1:
+        raise InvalidArgumentError(f"degree must be a whole number >= 1, got {p}")
+    return EnrichedSpace(int(p), mesh, bool(enrich) and not mesh.fitting)
 
 
 def eval_fem_basis(space, j, x, deriv=0):
@@ -302,14 +299,14 @@ def _gamma_tables(space, h, ns):
 
 
 def panel_basis(space, n):
-    """The n-point Gauss rule on every integration panel of the space's mesh
-    (split at gamma off a node) and every basis function there, as a
-    PanelBasis: whole elements read the shared reference table, the sides of
-    gamma the layout's tables (a rule outside p + RULES is evaluated here)."""
+    """The n-point Gauss rule (n in p + RULES) on every integration panel of the
+    space's mesh (split at gamma off a node) and every basis function there, as
+    a PanelBasis: whole elements read the shared reference table, the sides of
+    gamma the layout's tables."""
     lo, hi, rows, h, at, gamma_rows, tables = space.panel_layout[:7]
     x, w = composite_rule(lo, hi, n)
     _, vals, ders = reference_tables(space.p, n)
-    gv, gd = tables.get(n) or _gamma_tables(space, h[space.mesh.r - 1], (n,))[n]
+    gv, gd = tables[n]
     return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0], (at, gamma_rows, gv, gd))
 
 

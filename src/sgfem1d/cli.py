@@ -92,7 +92,7 @@ def _dump_function(cfg, gamma, eta, idx, path):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -141,6 +141,8 @@ def _message(exc):
     """The exception text and its notes (where the sweep names the cell)."""
     return " ".join([str(exc), *getattr(exc, "__notes__", ())])
 
+
+_PARSER = build_parser()  # built once, at import: every main call only parses
 
 if __name__ == "__main__":
     sys.exit(main())

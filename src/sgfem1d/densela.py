@@ -118,11 +118,10 @@ def _symmetric(A, n=None):
 
 
 def _band_form(n, rows, cols):
-    """For n x n symmetric matrices with entries at (rows, cols) (index
-    arrays that broadcast, -1: none), the row order (new position -> old
+    """For n x n symmetric matrices with entries at (rows, cols) (flat index
+    arrays of one length, -1: none), the row order (new position -> old
     row) by first coupled column, stably, and a function that sums values
     given at (rows, cols), in input order, into column-major lower band storage in it."""
-    rows, cols = np.broadcast_arrays(rows, cols)
     keep = (rows >= 0) & (cols >= 0)
     first = np.arange(n)
     np.minimum.at(first, rows[keep], cols[keep])
@@ -133,11 +132,11 @@ def _band_form(n, rows, cols):
     i -= j  # in place: each entry's subdiagonal d, then j becomes its index j * width + d
     lower = keep & (i >= 0)
     width = int(np.max(i, where=lower, initial=0)) + 1
-    index = np.where(lower, np.add(np.multiply(j, width, out=j), i, out=j), width * n).ravel()
+    index = np.where(lower, np.add(np.multiply(j, width, out=j), i, out=j), width * n)
 
     def band(vals):
         # the extra bin takes the dropped entries
-        return np.bincount(index, weights=vals.ravel(),
+        return np.bincount(index, weights=vals,
                            minlength=width * n + 1)[:width * n].reshape(n, -1).T
 
     return order, band

@@ -45,9 +45,9 @@ class Mesh1D:
 
 def build_uniform_mesh(N, gamma):
     """Build a uniform N-element mesh of [0, 1] with interface at gamma."""
+    if N != int(N) or N < 2:
+        raise InvalidArgumentError(f"need a whole number N >= 2 of elements, got N={N}")
     N = int(N)
-    if N < 2:
-        raise InvalidArgumentError(f"need at least 2 elements, got N={N}")
     if not 0.0 < gamma < 1.0:
         raise InvalidArgumentError(f"gamma must lie in (0, 1), got {gamma}")
 

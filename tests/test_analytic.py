@@ -1,5 +1,6 @@
 """Exact reference eigenpairs, eigenfunctions, and the manufactured source."""
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -119,6 +120,18 @@ def test_eigenfunctions_orthogonal():
     mesh = build_uniform_mesh(60, pairs[0].gamma)
     inner = integrate_piecewise(lambda x: u1.value(x) * u2.value(x), mesh, 12)
     assert abs(inner) < 1e-10
+
+
+def test_exact_solutions_pickle_and_compare_by_value():
+    pair = solve_matching_system(1.0 / np.pi, float(np.e) ** 2, 3)[2]
+    x = np.linspace(0.0, 1.0, 101)
+    assert exact_eigenfunction(pair) == exact_eigenfunction(pair)  # two builds of one pair
+    assert manufactured_source()[0] == manufactured_source()[0]
+    for u in (exact_eigenfunction(pair), manufactured_source()[0]):
+        copy = pickle.loads(pickle.dumps(u))
+        assert copy == u
+        assert np.array_equal(copy.value(x), u.value(x))
+        assert np.array_equal(copy.deriv(x), u.deriv(x))
 
 
 def test_manufactured_solution_consistency():

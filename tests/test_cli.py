@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, file emission."""
 
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,20 @@ def test_oracle_output(capsys):
     assert int(idx) == 1
     assert float(lam) == pytest.approx(2.25 * np.pi**2, rel=1e-10)
     assert float(d) == pytest.approx(-1.0, rel=1e-10)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["oracle", "--gamma", "0.3", "--eta", "4"]) == 2  # --count missing
+    assert main(["oracle", "--gamma", "0.3", "--eta", "4", "--count", "1"]) == 0
+    assert built == []
+    assert capsys.readouterr().out.startswith("index,omega1,d,lambda\n1,")
 
 
 def test_source_sweep_csv(capsys):

@@ -64,6 +64,18 @@ def test_invalid_arguments_rejected():
         build_uniform_mesh(10, 1.0)
 
 
+def test_element_count_must_be_a_whole_number():
+    # 10.7 used to build a mesh of 10 elements
+    for N in (10.7, 2.5, 10.000001, np.float64(3.5)):
+        with pytest.raises(InvalidArgumentError, match="whole number"):
+            build_uniform_mesh(N, 0.3)
+    want = build_uniform_mesh(10, 0.3)
+    for N in (10.0, np.int64(10), np.int32(10), np.float64(10.0)):
+        mesh = build_uniform_mesh(N, 0.3)
+        assert type(mesh.N) is int and mesh.N == 10
+        assert np.array_equal(mesh.nodes, want.nodes) and mesh.r == want.r
+
+
 def test_locate_conventions():
     m = build_uniform_mesh(10, 1.0 / 3.0)
     assert locate(m, 0.0) == 1

@@ -84,6 +84,14 @@ def test_validation_errors():
             SweepConfig(problem="eigen", **fields).validate()
 
 
+@pytest.mark.parametrize("fields, value", [({"Ns": (10.5, 20.2, 40.9)}, "N=10.5"),
+                                           ({"degrees": (2.5,)}, "got 2.5")])
+def test_fractional_degree_or_element_count_is_rejected(fields, value):
+    # Ns (10.5, 20.2, 40.9) used to report rows at N = 10, 20 and 40
+    with pytest.raises(InvalidArgumentError, match=f"whole number.*{value}"):
+        run_source_sweep(SweepConfig(**{"Ns": (10, 20, 40), **fields}))
+
+
 def test_close_exact_eigenvalues_are_rejected(monkeypatch):
     pairs = sweep.solve_matching_system(1.0 / 3.0, 4.0, 3)
     close = [pairs[0], dataclasses.replace(pairs[1], lam=1.005 * pairs[0].lam), pairs[2]]
