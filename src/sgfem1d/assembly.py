@@ -94,9 +94,8 @@ def assemble(space, prob):
     q = panel_basis(space, space.p + MATRIX_RULE)
     (at, rows, vals, ders), (first, key) = q.gamma, space.panel_layout[7:]
     # K and M couple the rows sharing a panel; one element matrix per size and side
-    pattern = [np.broadcast_to(r[:, :, None], r.shape + r.shape[1:]) for r in (q.rows, rows)]
-    i = _in_panel_order(*pattern, at)
-    j = _in_panel_order(*(a.transpose(0, 2, 1) for a in pattern), at)
+    i = _in_panel_order(*(np.repeat(r, r.shape[1], 1) for r in (q.rows, rows)), at)
+    j = _in_panel_order(*(np.tile(r, r.shape[1]) for r in (q.rows, rows)), at)
     order, band = _band_form(ndof, i, j)
     w, wg, lagrange = q.w[first], q.w[at].copy(), q.vals[None]  # M's, kept small
     K = _in_panel_order(_gram(q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w)[key],

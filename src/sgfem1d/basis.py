@@ -87,28 +87,32 @@ class EnrichedSpace:
             a.setflags(write=False)
         return q
 
-    @cached_property  # kept in the instance __dict__: freed with the space
+    @property
     def panel_layout(self):
-        """What every panel_basis call shares, read-only: the panel ends lo, hi; each panel's
-        Lagrange rows (-1: a Dirichlet boundary node) and element size h; the panels at gamma
-        (a slice), their rows (enrichment last) and own tables for the p + RULES rules; the
-        first panel of each distinct size (negated past gamma, 0 at it) and each panel's."""
-        mesh, p, nf, r = self.mesh, self.p, self.n_fem, self.mesh.r
-        elements, edges = panels(mesh)
-        g = (elements[:, None] - 1) * p + np.arange(p + 1)
-        rows, lo, hi = np.where(g <= nf, g - 1, -1), edges[:-1], edges[1:]
-        h = mesh.nodes[elements] - mesh.nodes[elements - 1]
-        at = slice(0, 0) if mesh.fitting else slice(r - 1, r + 1)
-        # every point of a whole element lies on its midpoint's side of gamma
-        signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
-        signed[at] = 0.0  # so the first panel of every other size is a whole element
-        _, first, key = np.unique(signed, return_index=True, return_inverse=True)
-        enr = nf + np.arange(self.n_enr)  # the enrichment rows
-        gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
-        for a in (lo, hi, rows, h, gamma_rows, first, key):
-            a.setflags(write=False)
-        tables = _gamma_tables(self, h[r - 1], tuple(p + k for k in RULES))
-        return lo, hi, rows, h, at, gamma_rows, tables, first, key
+        """What every panel_basis call shares, read-only, built once per mesh and p for
+        build_space(mesh, p) and kept on the mesh: the panel ends lo, hi; each panel's Lagrange
+        rows (-1: a Dirichlet boundary node) and element size h; the panels at gamma (a slice),
+        their rows (enrichment last) and own tables for the p + RULES rules; the first panel of
+        each distinct size (negated past gamma, 0 at it) and each panel's."""
+        mesh, p, r = self.mesh, self.p, self.mesh.r
+        shared = vars(mesh).setdefault("panel_layouts", {})  # freed with the mesh
+        if p not in shared:
+            sgfem, nf, (elements, edges) = build_space(mesh, p), self.n_fem, panels(mesh)
+            g = (elements[:, None] - 1) * p + np.arange(p + 1)
+            rows, lo, hi = np.where(g <= nf, g - 1, -1), edges[:-1], edges[1:]
+            h = mesh.nodes[elements] - mesh.nodes[elements - 1]
+            at = slice(0, 0) if mesh.fitting else slice(r - 1, r + 1)
+            # every point of a whole element lies on its midpoint's side of gamma
+            signed = np.where(lo + hi > 2 * mesh.gamma, -h, h)
+            signed[at] = 0.0  # so the first panel of every other size is a whole element
+            _, first, key = np.unique(signed, return_index=True, return_inverse=True)
+            enr = nf + np.arange(sgfem.n_enr)  # the enrichment rows
+            gamma_rows = np.concatenate([rows[at], np.repeat(enr[None], len(rows[at]), 0)], 1)
+            for a in (lo, hi, rows, h, gamma_rows, first, key):
+                a.setflags(write=False)
+            tables = _gamma_tables(sgfem, h[r - 1], tuple(p + k for k in RULES))
+            shared[p] = lo, hi, rows, h, at, gamma_rows, tables, first, key
+        return shared[p]
 
 
 @dataclass
@@ -307,7 +311,9 @@ def panel_basis(space, n):
     x, w = composite_rule(lo, hi, n)
     _, vals, ders = reference_tables(space.p, n)
     gv, gd = tables[n]
-    return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0], (at, gamma_rows, gv, gd))
+    m = space.p + 1 + space.n_enr  # an unenriched space's functions end before the enrichment
+    return PanelBasis(x, w, rows, h[:, None], vals[:, 0], ders[:, 0],
+                      (at, gamma_rows[:, :m], gv[:, :m], gd[:, :m]))
 
 
 def eval_solution(space, dofs, x, deriv=0):

@@ -25,7 +25,7 @@ near n = 90 at k = 8 (one BLAS thread, 2-core Xeon; README has figures).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,13 +53,6 @@ def _dia(ab):
     for d in range(1, kd + 1):  # upper diagonal d: the lower one shifted right
         data[kd + d, d:] = ab[d, :n - d]
     return dia_array((data, np.r_[:-kd - 1:-1, 1:kd + 1]), shape=(n, n))
-
-
-def _product(ab):
-    """x -> A x for the symmetric A of the lower band ab and x of shape (n,),
-    by dsbmv, or (n, m), by one scipy DIA product for all the columns."""
-    block = _dia(ab)
-    return lambda x: dsbmv(len(ab) - 1, 1.0, ab, x, lower=1) if x.ndim == 1 else block @ x
 
 
 class BandMatrix:
@@ -205,7 +198,8 @@ def generalized_eigs(K, M, k):
         raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
     if k == 0:
         return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
-    m = _product(mb)
+    block = cache(lambda: _dia(mb))  # on the first block product: Lanczos calls dsbmv
+    m = lambda x: dsbmv(len(mb) - 1, 1.0, mb, x, lower=1) if x.ndim == 1 else block() @ x
     mct = lambda Y: m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])  # M C^-T Y
     op = lambda Y: lapack.dtbtrs(c, mct(Y), uplo="L")[0]  # C^-1 M C^-T Y
     if n <= 80 + 2 * k:  # dense LAPACK is faster here (module docstring)

@@ -88,19 +88,20 @@ def _sweep(cfg, gamma, cell, meta=None):
     t0 = time.time()
     for p in cfg.degrees:
         for N in cfg.Ns:
-            mesh = build_uniform_mesh(N, gamma)
-            for method in cfg.methods:
-                label = f"(p={p}, N={N}, {method})"
-                try:
+            label = f"(p={p}, N={N})"
+            try:  # one mesh per (p, N): its methods share the mesh's panel layout
+                mesh = build_uniform_mesh(N, gamma)
+                for method in cfg.methods:
+                    label = f"(p={p}, N={N}, {method})"
                     space = build_space(mesh, p, enrich=(method == "SGFEM"))
                     if method == "SGFEM" and mesh.fitting:
                         fitting_cells.append((p, N))
                     rows.extend(cell(space, method,
                                      lambda text: warnings.append(f"{label} {text}")))
-                except Exception as exc:
-                    # what add_note does, also on Python 3.10
-                    exc.__notes__ = [*getattr(exc, "__notes__", ()), label]
-                    raise
+            except Exception as exc:
+                # what add_note does, also on Python 3.10
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), label]
+                raise
     rates = _fit_rates(rows)
     if not rates:
         warnings.append("fewer than 3 refinement levels; no rates fitted")

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
-                     eval_solution, solve_spd)
+                     eval_solution, manufactured_source, solve_spd)
 from sgfem1d.assembly import _gram
 from sgfem1d.basis import _lagrange, reference_enrichment
 from sgfem1d.densela import _band_form
-from sgfem1d.errors import h1_semi_error
-from sgfem1d.exceptions import CoefficientNotPositiveError, InvalidArgumentError
+from sgfem1d.errors import h1_semi_error, l2_error
+from sgfem1d.exceptions import (CoefficientNotPositiveError, InvalidArgumentError,
+                                NotPositiveDefiniteError)
 from sgfem1d.quadrature import composite_rule, panels
 
 
@@ -379,3 +380,43 @@ def test_bands_equal_per_panel_element_matrices_bit_for_bit(p, N, fitting, where
     for got, want in zip((system.K.band, system.M.band), _per_panel_bands(space, prob)):
         assert np.array_equal(got[0], want[0])
         assert got[1].tobytes() == want[1].tobytes()  # bit for bit, signed zeros too
+
+
+# ---------------------------------------------------------------------------
+# FEM and SGFEM on one mesh share its panel layout and give the same bits
+
+def _cell_bytes(space, gamma):
+    """The bytes of K's and M's row orders and bands, F, the solution U and
+    U's H1 and L2 errors of the manufactured source problem; the exception's
+    type in place of U and its errors if the solve raises."""
+    u, f = manufactured_source()
+    system = assemble(space, InterfaceProblem(gamma=gamma, kappa0=1.0, kappa1=4.0, source=f))
+    out = [a.tobytes() for A in (system.K, system.M) for a in A.band] + [system.F.tobytes()]
+    try:
+        U = solve_spd(system.K, system.F)
+    except NotPositiveDefiniteError as exc:
+        return out + [type(exc)]
+    dofs = DofVector(U[:space.n_fem], U[space.n_fem:])
+    return out + [U.tobytes()] + [np.float64(e(dofs, space, u)).tobytes()
+                                  for e in (h1_semi_error, l2_error)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 6), N=st.integers(2, 200),
+       where=st.sampled_from(["anywhere", "node", "first", "last"]),
+       t=st.floats(0.0, 1.0), fem_first=st.booleans())
+@example(p=6, N=200, where="anywhere", t=0.3, fem_first=True)
+@example(p=3, N=160, where="anywhere", t=1.0 / 3.0, fem_first=False)  # the ladder's gamma
+@example(p=2, N=9, where="node", t=0.5, fem_first=True)
+@example(p=4, N=2, where="first", t=0.5, fem_first=False)
+@example(p=5, N=37, where="last", t=0.999, fem_first=True)
+def test_spaces_on_one_mesh_equal_spaces_on_their_own_bit_for_bit(p, N, where, t, fem_first):
+    # gamma anywhere in (0, 1), on a node, or in the first or the last element
+    gamma = {"anywhere": 0.001 + 0.998 * t, "node": min(max(round(t * N), 1), N - 1) / N,
+             "first": (0.01 + 0.98 * t) / N, "last": 1.0 - (0.01 + 0.98 * t) / N}[where]
+    flags = (False, True) if fem_first else (True, False)
+    mesh = build_uniform_mesh(N, gamma)
+    shared = [build_space(mesh, p, enrich=e) for e in flags]  # both built, then used
+    got = [_cell_bytes(space, mesh.gamma) for space in shared]
+    alone = [build_space(build_uniform_mesh(N, gamma), p, enrich=e) for e in flags]
+    assert got == [_cell_bytes(space, mesh.gamma) for space in alone]

@@ -516,12 +516,34 @@ def test_reference_tables_are_shared_and_read_only(p, n):
             a[(0,) * a.ndim] = 0.0
 
 
-def test_panel_layout_is_per_space_and_read_only():
+def _layout_arrays(layout, bases=True):
+    """Every array of a panel layout: the tuple's, the tables' and (bases) what they view."""
+    tables = list(chain(*layout[6].values()))
+    views = [a for a in layout if isinstance(a, np.ndarray)] + tables
+    return views + [a.base for a in views if a.base is not None and bases]
+
+
+def test_panel_layout_is_shared_per_mesh_and_degree_and_read_only():
     mesh, p = build_uniform_mesh(20, 0.31), 2
-    a, b = build_space(mesh, p), build_space(mesh, p)
-    assert a.panel_layout is a.panel_layout
-    assert a.panel_layout is not b.panel_layout
+    fem, a = build_space(mesh, p, enrich=False), build_space(mesh, p)
+    # one layout per (mesh, p), for the enriched space, whichever space asks first
+    assert fem.panel_layout is a.panel_layout is build_space(mesh, p).panel_layout
     lo, hi, rows, h, at, gamma_rows, tables, first, key = a.panel_layout
+    # FEM's panel bases read the Lagrange prefix of the gamma rows and tables
+    # as views, with the same strides; SGFEM's read them whole
+    for n in tables:
+        for space in (fem, a):
+            m = p + 1 + space.n_enr
+            got = panel_basis(space, n).gamma
+            assert got[0] == at
+            for view, full in zip(got[1:], (gamma_rows, *tables[n])):
+                # the same first address, strides and leading shape: full[:, :m] itself
+                assert view.ctypes.data == full.ctypes.data and view.strides == full.strides
+                assert view.shape == full.shape[:1] + (m,) + full.shape[2:]
+    # another degree, or another mesh of the same size, has a layout of its own
+    for other in (build_space(mesh, p + 1), build_space(build_uniform_mesh(20, 0.31), p)):
+        assert not any(np.shares_memory(x, y) for x in _layout_arrays(other.panel_layout)
+                       for y in _layout_arrays(a.panel_layout))
     edges = panels(mesh)[1]
     assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:])
     assert at == slice(mesh.r - 1, mesh.r + 1)  # the two sides of gamma
@@ -537,18 +559,24 @@ def test_panel_layout_is_per_space_and_read_only():
     assert whole[rep[whole]].all() and not np.isin(key[at], key[whole]).any()
     assert np.array_equal(h[rep], h) and np.array_equal(right[rep[whole]], right[whole])
     assert len(first) == len(set(zip(h[whole], right[whole]))) + 1
-    for arr in (lo, hi, rows, h, gamma_rows, first, key, *chain(*tables.values())):
+    for arr in _layout_arrays(a.panel_layout, bases=False):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
 
 
-def test_panel_layout_is_freed_with_its_space():
-    space = build_space(build_uniform_mesh(20, 0.31), 2)
-    layout = space.panel_layout
-    tables = list(chain(*layout[6].values()))  # views, and the arrays they share
-    arrays = [a for a in layout if isinstance(a, np.ndarray)] + tables + [f.base for f in tables]
-    refs = [weakref.ref(a) for a in [space] + arrays]
-    del space, layout, tables, arrays
+def test_panel_layout_is_freed_with_its_mesh():
+    mesh = build_uniform_mesh(20, 0.31)
+    layout = build_space(mesh, 2, enrich=False).panel_layout
+    refs = [weakref.ref(a) for a in _layout_arrays(layout)]
+    del layout
+    gc.collect()
+    # the space is gone and only the mesh holds the layout: a new space reads it
+    assert all(r() is not None for r in refs)
+    assert build_space(mesh, 2).panel_layout[0] is refs[0]()
+    sgfem = build_space(mesh, 2)
+    q = panel_basis(sgfem, 4)  # its gamma tuple views the layout
+    refs += [weakref.ref(a) for a in (mesh, sgfem, *q.gamma[1:])]
+    del mesh, sgfem, q
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
 
@@ -573,14 +601,24 @@ def test_panel_basis_evaluates_lagrange_only_on_the_sides_of_gamma(
         lagrange_points, gamma, enrich, split):
     mesh, p = build_uniform_mesh(12, gamma), 2
     rules = [p + k for k in RULES]
-    for n in rules:  # fill the shared (p, n) tables
-        panel_basis(build_space(mesh, p, enrich=enrich), n)
+    for n in rules:  # fill the shared (p, n) tables, on a mesh of its own
+        panel_basis(build_space(build_uniform_mesh(12, gamma), p, enrich=enrich), n)
     lagrange_points.clear()
+    once = [2 * sum(rules)] if split else []
     space = build_space(mesh, p, enrich=enrich)
     for _ in range(2):
         for n in rules:
             panel_basis(space, n)
     space.norm_basis
-    # one call per space, at the points of all three rules on [0, nu] and
+    # one call per mesh and p, at the points of all three rules on [0, nu] and
     # [nu, 1]; a fitting mesh has no such panels
-    assert lagrange_points == ([2 * sum(rules)] if split else [])
+    assert lagrange_points == once
+    # a second space on the mesh, of either kind, evaluates nothing
+    for other in (build_space(mesh, p, enrich=False), build_space(mesh, p)):
+        for n in rules:
+            panel_basis(other, n)
+        other.norm_basis
+    assert lagrange_points == once
+    # a space on a fresh mesh evaluates once
+    panel_basis(build_space(build_uniform_mesh(12, gamma), p, enrich=not enrich), p + 2)
+    assert lagrange_points == 2 * once

@@ -556,6 +556,21 @@ def test_bands_are_column_major_and_solvers_read_them_uncopied(monkeypatch):
     assert seen and all(ab.flags.f_contiguous for ab in seen)
 
 
+@pytest.mark.parametrize("k", [1, 8])
+def test_mass_dia_block_is_built_after_lanczos(monkeypatch, k):
+    # ARPACK's products are dsbmv's; M's DIA block serves the closing step only
+    _, system = _assemble(3, 40, 0.31, 4.0, True)  # ndof 123 > 80 + 2k: ARPACK
+    want = generalized_eigs(system.K, system.M, k)
+    events, dia, lanczos = [], densela._dia, densela._lanczos
+    monkeypatch.setattr(densela, "_dia", lambda ab: events.append("dia") or dia(ab))
+    monkeypatch.setattr(densela, "_lanczos", lambda *args, **kw: (
+        lanczos(*args, **kw), events.append("lanczos"))[0])
+    got = generalized_eigs(system.K, system.M, k)
+    assert events == ["lanczos", "dia"]
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.vectors, want.vectors)
+
+
 def test_matrices_of_two_systems_take_the_band_path(monkeypatch):
     scans = []
     band_form = densela._band_form

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sgfem1d.basis
 from sgfem1d import (Report, SweepConfig, emit_report, run_cond_sweep,
                      run_eigen_sweep, run_source_sweep)
 from sgfem1d import sweep
@@ -90,6 +91,31 @@ def test_fractional_degree_or_element_count_is_rejected(fields, value):
     # Ns (10.5, 20.2, 40.9) used to report rows at N = 10, 20 and 40
     with pytest.raises(InvalidArgumentError, match=f"whole number.*{value}"):
         run_source_sweep(SweepConfig(**{"Ns": (10, 20, 40), **fields}))
+
+
+@pytest.mark.parametrize("fields, note", [({"Ns": (10.5, 20, 40)}, "(p=1, N=10.5)"),
+                                          ({"Ns": (10, 20.5, 40)}, "(p=1, N=20.5)"),
+                                          ({"degrees": (2.5,)}, "(p=2.5, N=10, FEM)")])
+def test_mesh_and_space_errors_name_their_cell(fields, note):
+    # the mesh of a cell is built before its methods: its error names (p, N)
+    with pytest.raises(InvalidArgumentError) as info:
+        run_source_sweep(SweepConfig(**{"degrees": (1,), "Ns": (10, 20, 40), **fields}))
+    assert info.value.__notes__ == [note]
+
+
+def test_source_sweep_evaluates_the_interface_element_once_per_mesh(monkeypatch):
+    # FEM and SGFEM of a (p, N) cell share one mesh and its panel layout, so
+    # the Lagrange tables at gamma's sides are evaluated once per (p, N)
+    real, calls = sgfem1d.basis._lagrange, []
+
+    def recorder(p, t):
+        if np.ndim(t) == 2 and len(t) == 2:  # the points of [0, nu] and [nu, 1]
+            calls.append(p)
+        return real(p, t)
+
+    monkeypatch.setattr(sgfem1d.basis, "_lagrange", recorder)
+    run_source_sweep(SweepConfig(degrees=(1, 2, 3), Ns=(10, 20, 40, 80, 160)))
+    assert calls == [1] * 5 + [2] * 5 + [3] * 5  # gamma = 1/3 is on no node
 
 
 def test_close_exact_eigenvalues_are_rejected(monkeypatch):
