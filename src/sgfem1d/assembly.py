@@ -1,23 +1,22 @@
 """Block stiffness/mass/load assembly for FEM and SGFEM.
 
 All integrals use panel-wise Gauss quadrature split at the interface
-(basis.panel_basis), so every integrand is a (piecewise) polynomial on
-each panel; p+2 points per panel integrate the enrichment products
-exactly.  A whole element's matrices depend only on its size and side of
-gamma, so there is one per distinct pair; with the two panels at gamma they
-are joined in panel order and summed by one scatter straight into LAPACK's
-column-major lower band storage, in the row order the solver factors in,
-held once as densela.BandMatrix objects: O(ndof) memory, no solver copies
-a band, and a dense matrix only where np.asarray asks for one.
+(basis.panel_basis); p+2 points per panel integrate the enrichment products
+exactly.  A whole element's matrices depend only on its size and side of gamma,
+one per distinct pair.  In 1D the solver's row order and LAPACK's column-major
+lower band follow from the element chain: strided writes lay the elements (the
+interface element as the sum of its two panels) with the sums of panel order,
+in O(ndof) memory and no index per entry, as densela.BandMatrix objects.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .basis import LOAD_RULE, MATRIX_RULE, panel_basis
-from .densela import BandMatrix, _band_form
+from .densela import BandMatrix
 from .exceptions import CoefficientNotPositiveError, InvalidArgumentError
 from .quadrature import sample
 
@@ -37,25 +36,19 @@ class InterfaceProblem:
 
 
 class BlockSystem:
-    """Assembled stiffness K, mass M and, for a source problem, load F
-    (else None), read-only, FEM rows first and enrichment rows after.  K and
-    M are densela.BandMatrix objects over lower bands in the solver's order
-    (M's built by ``mass`` on first read: a source problem needs only K and
-    F).  K_FF, K_FE and K_EE are scipy CSR blocks of K.csr."""
+    """Assembled stiffness K, mass M and, for a source problem, load F (else None),
+    read-only, FEM rows first and enrichment rows after.  K and M are densela.BandMatrix
+    objects over lower bands in the solver's order (M's built by ``mass`` on first read:
+    a source problem needs only K and F).  K_FF, K_FE and K_EE are CSR blocks of K.csr."""
 
-    def __init__(self, order, kb, mass, F, n_fem):
+    def __init__(self, order, K, mass, F, n_fem):
         if F is not None:
             F.setflags(write=False)
-        self._order, self._F, self.n_fem = order, F, n_fem
-        self._bands, self._mats = {"K": lambda: kb, "M": mass}, {}
+        self._order, self._K, self._mass, self._F, self.n_fem = order, K, mass, F, n_fem
 
-    def _matrix(self, name):
-        if name not in self._mats:
-            self._mats[name] = BandMatrix(self._order, self._bands.pop(name)())
-        return self._mats[name]
-
-    K = property(lambda self: self._matrix("K"))
-    M = property(lambda self: self._matrix("M"))
+    K = property(lambda self: self._K)
+    M = property(lambda self: vars(self).get("_M") or vars(self).setdefault(
+        "_M", BandMatrix(self._order, vars(self).pop("_mass")())))
     F = property(lambda self: self._F)
     K_FF = property(lambda self: self.K[:self.n_fem, :self.n_fem])
     K_FE = property(lambda self: self.K[:self.n_fem, self.n_fem:])
@@ -63,14 +56,37 @@ class BlockSystem:
 
 
 def _gram(f, weight):
-    """Symmetric element matrices sum_q f_i f_j weight over each panel."""
+    """Symmetric element matrices sum_q f_i f_j weight over each panel, flat, and a zero."""
     E = (f * weight[:, None, :]) @ f.transpose(0, 2, 1)
-    return 0.5 * (E + E.transpose(0, 2, 1))
+    E = 0.5 * (E + E.transpose(0, 2, 1))
+    return np.hstack([E.reshape(len(E), E.shape[1] ** 2), np.zeros((len(E), 1))])
 
 
-def _in_panel_order(whole, gamma, at):
-    """whole's per-panel entries, gamma's for the panels at gamma (slice at), flat."""
-    return np.concatenate([a.ravel() for a in (whole[:at.start], gamma, whole[at.stop:])])
+@cache
+def _skew(m, ix, width):
+    """At [b, d]: the flat index of entry (ix[b + d], ix[b]) of an m x m matrix, else -1."""
+    ix, (b, d) = np.array(ix + (-1,) * width), np.indices((len(ix), width))
+    return np.where((ix[b + d] >= 0) & (ix[b] >= 0), ix[b + d] * m + ix[b], -1)
+
+
+def _band(grams, gamma, p, key, ge, W, s, ne, ix):
+    """The W lower diagonals, column-major, of the matrix with the whole elements' grams[key]
+    and element ge's G1 + G2 (gamma), laid along the element chain (the rest: see assemble)."""
+    N, B = len(key), np.zeros((len(key) * p + ne + 1, W))  # B[c + 1, d]: below position c
+    k, grams[key[ge]] = -(-s // p) if ne else N, 0.0  # element k straddles FEM row s - 1
+    # an element's entry (b + d, b), b < p, at [b, d] (+ 0.0: no signed zeros); (p, p) apart
+    S, V = grams[:, _skew(p + 1, tuple(range(p + 1)), W)[:p]] + 0.0, grams[key, -2]
+    for e0, e1, c in ((0, k, 0), (k, N, k * p + ne))[:1 + (k < N)]:  # c: element e0's node 0
+        np.take(S, key[e0:e1], 0, B[c:c + (e1 - e0) * p].reshape(e1 - e0, p, W), "clip")
+        B[c + p::p, 0][:e1 - e0] += V[e0:e1]
+    np.fill_diagonal(B[-1 - p:-1][::-1, 1:], 0.0)  # element N's last row, the boundary's
+    if k < N:  # element k's node 0 lies before the enrichment rows, not after
+        B[s, 0] += B[s + ne, 0]
+        B[s, ne + 1:], B[s + ne, :p + 1] = B[s + ne, 1:W - ne], 0.0
+    if len(gamma):  # panel order sums element ge's node 0 as (left + G1) + G2
+        B[ge.start * p:][:len(ix)] += (gamma[0] + gamma[1])[_skew(p + 1 + ne, ix, W)]
+        B[ge.start * p, 0] = (V[ge.start - 1] + gamma[0, 0]) + gamma[1, 0]
+    return B[1:-1].T
 
 
 def assemble(space, prob):
@@ -81,24 +97,30 @@ def assemble(space, prob):
     if not all(0.0 < k < np.inf for k in (prob.kappa0, prob.kappa1)):
         raise CoefficientNotPositiveError(
             f"kappa = ({prob.kappa0}, {prob.kappa1}) not positive and finite")
-    ndof = space.n_fem + space.n_enr
+    p, nf, ne, N, r = space.p, space.n_fem, space.n_enr, space.mesh.N, space.mesh.r
+    at, first, key = space.panel_layout[4], *space.panel_layout[7:]
+    ge = slice(at.start, (at.start + at.stop) // 2)  # the interface element: panel 1's key
+    s = min(p * r + (p * r == 1), nf) if ne else nf  # the enrichment after FEM row s - 1
     F = None
     if prob.source is not None:
-        # the source term need not be polynomial, so the load uses a finer rule
-        q = panel_basis(space, space.p + LOAD_RULE)
+        q = panel_basis(space, p + LOAD_RULE)  # finer: the source need not be polynomial
         g = q.w * sample(prob.source, q.x)
-        at, rows, vals, _ = q.gamma
-        load = np.einsum("pfn,pn->pf", vals, g[at])
-        F = np.bincount(_in_panel_order(q.rows, rows, at) + 1,  # bin 0 takes row -1
-                        _in_panel_order(g @ q.vals.T, load, at), minlength=ndof + 1)[1:]
-    q = panel_basis(space, space.p + MATRIX_RULE)
-    (at, rows, vals, ders), (first, key) = q.gamma, space.panel_layout[7:]
-    # K and M couple the rows sharing a panel; one element matrix per size and side
-    i = _in_panel_order(*(np.repeat(r, r.shape[1], 1) for r in (q.rows, rows)), at)
-    j = _in_panel_order(*(np.tile(r, r.shape[1]) for r in (q.rows, rows)), at)
-    order, band = _band_form(ndof, i, j)
-    w, wg, lagrange = q.w[first], q.w[at].copy(), q.vals[None]  # M's, kept small
-    K = _in_panel_order(_gram(q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w)[key],
-                        _gram(ders, prob.kappa(q.x[at]) * wg), at)
-    return BlockSystem(order, band(K), lambda: band(_in_panel_order(
-        _gram(lagrange, w)[key], _gram(vals, wg), at)), F, space.n_fem)
+        L = np.delete(g @ q.vals.T, slice(ge.stop, at.stop), 0)
+        load, L[ge] = np.einsum("pfn,pn->pf", q.gamma[2], g[at]), 0.0
+        F = np.zeros(nf + ne + 2)  # laid as in _band, in natural order; panel order sums
+        F[p:N * p:p] += L[:-1, p]  # the vertices left of gamma first, right of it last
+        # the interface element's rows, -1 (a boundary's) into F[0], panel 1 then panel 2
+        np.add.at(F, space.panel_layout[5][:, :p + 1 + ne] + 1, load)
+        F[:N * p] += L[:, :p].ravel()
+        F = F[1:-1]
+    q = panel_basis(space, p + MATRIX_RULE)
+    (_, _, vals, ders), w, wg = q.gamma, q.w[first], q.w[at].copy()  # M's, kept small
+    # W diagonals; ix: the interface element's rows by position from its node 0 (-1: a gap)
+    W = 1 + max(p - (N == 2), ne + min(p, nf - s), ne and s + ne - 1 - max(p * r - p - 1, 0))
+    ix = (*range(p + (r < N)), *[-1] * (s > p * r), *range(p + 1, p + 1 + ne))
+    layout = p, np.delete(key, slice(ge.stop, at.stop)), ge, W, s, ne, ix
+    order = np.concatenate([np.arange(s), np.arange(nf, nf + ne), np.arange(s, nf)])
+    K = _band(_gram(q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w),
+              _gram(ders, prob.kappa(q.x[at]) * wg), *layout)
+    mass = lambda lagrange=q.vals[None]: _band(_gram(lagrange, w), _gram(vals, wg), *layout)
+    return BlockSystem(order, BandMatrix(order, K), mass, F, nf)

@@ -110,44 +110,22 @@ def _symmetric(A, n=None):
     return A
 
 
-def _band_form(n, rows, cols):
-    """For n x n symmetric matrices with entries at (rows, cols) (flat index
-    arrays of one length, -1: none), the row order (new position -> old
-    row) by first coupled column, stably, and a function that sums values
-    given at (rows, cols), in input order, into column-major lower band storage in it."""
-    keep = (rows >= 0) & (cols >= 0)
-    first = np.arange(n)
-    np.minimum.at(first, rows[keep], cols[keep])
-    order = np.argsort(first, kind="stable")
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    i, j = pos[rows], pos[cols]
-    i -= j  # in place: each entry's subdiagonal d, then j becomes its index j * width + d
-    lower = keep & (i >= 0)
-    width = int(np.max(i, where=lower, initial=0)) + 1
-    index = np.where(lower, np.add(np.multiply(j, width, out=j), i, out=j), width * n)
-
-    def band(vals):
-        # the extra bin takes the dropped entries
-        return np.bincount(index, weights=vals,
-                           minlength=width * n + 1)[:width * n].reshape(n, -1).T
-
-    return order, band
-
-
 def _banded(*mats):
-    """_band_form of the square symmetric matrices' union pattern: the one
-    BandMatrix objects of one order (equal by value) hold, else found by a
-    dense scan."""
+    """Row order and lower bands of the square symmetric matrices: BandMatrix objects' of
+    one order (equal by value), else a dense scan's, rows stably by first coupled column."""
     carried = [getattr(A, "band", None) for A in mats]
     if all(b is not None and (b[0] is carried[0][0] or np.array_equal(b[0], carried[0][0]))
            for b in carried):
         return carried[0][0], [ab for _, ab in carried]
     first = _symmetric(mats[0])
-    mats = [first] + [_symmetric(A, len(first)) for A in mats[1:]]
-    rows, cols = np.nonzero(np.any([A != 0.0 for A in mats], axis=0))
-    order, band = _band_form(len(first), rows, cols)
-    return order, [band(A[rows, cols]) for A in mats]
+    mats, n = [first] + [_symmetric(A, len(first)) for A in mats[1:]], len(first)
+    coupled = np.any([A != 0.0 for A in mats], axis=0) | np.eye(n, dtype=bool)
+    order = np.argsort(coupled.argmax(1), kind="stable")  # argmax: the first True
+    perm = np.ix_(order, order)
+    width = 1 + int(np.max(np.arange(n) - coupled[perm].argmax(1)))
+    # diagonal d of each permuted matrix, + 0.0: a signed zero off the pattern reads 0.0
+    return order, [np.asfortranarray([np.append(np.diagonal(B, -d), np.zeros(d)) for d in
+                                      range(width)]) + 0.0 for B in (A[perm] for A in mats)]
 
 
 def _factor(ab):

@@ -11,12 +11,11 @@ from sgfem1d import (DofVector, InterfaceProblem, assemble, build_space,
                      build_uniform_mesh, eval_enrichment, eval_fem_basis,
                      eval_solution, manufactured_source, solve_spd)
 from sgfem1d.assembly import _gram
-from sgfem1d.basis import _lagrange, reference_enrichment
-from sgfem1d.densela import _band_form
+from sgfem1d.basis import LOAD_RULE, _lagrange, panel_basis, reference_enrichment
 from sgfem1d.errors import h1_semi_error, l2_error
 from sgfem1d.exceptions import (CoefficientNotPositiveError, InvalidArgumentError,
                                 NotPositiveDefiniteError)
-from sgfem1d.quadrature import composite_rule, panels
+from sgfem1d.quadrature import composite_rule, panels, sample
 
 
 def test_linear_fem_tridiagonal_by_hand():
@@ -81,13 +80,13 @@ def test_block_shapes(small_sgfem_system):
 def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
     from sgfem1d import assembly
     calls = []
-    band_form = assembly._band_form
+    band = assembly._band
 
-    def counted(*args):
-        order, band = band_form(*args)
-        return order, lambda vals: calls.append(vals.shape) or band(vals)
+    def counted(grams, gamma, *layout):
+        calls.append(grams.shape)
+        return band(grams, gamma, *layout)
 
-    monkeypatch.setattr(assembly, "_band_form", counted)
+    monkeypatch.setattr(assembly, "_band", counted)
     _, _, prob = benchmark_problem
     sys_ = assemble(build_space(build_uniform_mesh(10, prob.gamma), 2), prob)
     assert len(calls) == 1  # K only: a source problem needs K and F
@@ -149,6 +148,23 @@ def test_assembly_and_norms_hold_no_per_point_basis_tables(benchmark_problem):
         tracemalloc.stop()
     assert peak < 400 * ndof
     assert kept < 64 * ndof
+
+
+def test_assembly_builds_no_per_entry_pattern(benchmark_problem):
+    # p=3, N=2*10^4 (ndof 60003).  K's and M's row order and band layout follow
+    # from the element chain in closed form, so assemble with a load holds no
+    # (entries,) index arrays: measured 171 bytes/dof at its peak, 326 when it
+    # scattered through a row and column index per element-matrix entry.
+    _, _, prob = benchmark_problem
+    space = build_space(build_uniform_mesh(20000, prob.gamma), 3)
+    ndof = space.n_fem + space.n_enr
+    tracemalloc.start()
+    try:
+        assemble(space, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 270 * ndof
 
 
 def test_mass_matrix_total_is_function_inner_products():
@@ -325,10 +341,29 @@ def test_kernel_matches_pointwise_oracle(cell):
 # ---------------------------------------------------------------------------
 # one element matrix per distinct element size against one per panel
 
-def _per_panel_bands(space, prob):
-    """K's and M's (order, band), built from one _gram per panel at its own
-    p+2 Gauss points, from its own _lagrange table (and the enrichment on the
-    interface element), in panel order through the one _band_form scatter."""
+def _panel_order_scatter(n, rows, mats):
+    """Row order (stably by first coupled column) and lower band of the sum of
+    the square matrices mats, each at its rows (-1: none), added in panel order."""
+    first = np.arange(n)
+    for r in rows:
+        r = r[r >= 0]
+        first[r] = np.minimum(first[r], r.min())
+    order = np.argsort(first, kind="stable")
+    pos = np.argsort(order)
+    entries = [(pos[i] - pos[j], pos[j], E[a, b]) for r, E in zip(rows, mats)
+               for a, i in enumerate(r) for b, j in enumerate(r)
+               if min(i, j) >= 0 and pos[i] >= pos[j]]
+    ab = np.zeros((max(d for d, _, _ in entries) + 1, n))
+    for d, j, v in entries:
+        ab[d, j] += v
+    return order, ab
+
+
+def _per_panel_system(space, prob):
+    """K's and M's (order, band) and F, summed in panel order: K and M from one
+    _gram per panel at its own p+2 Gauss points, from its own _lagrange table
+    (and the enrichment on the interface element); F from the per-panel loads
+    assemble contracts (the shared table's for whole elements)."""
     mesh, p, nf, n = space.mesh, space.p, space.n_fem, space.p + 2
     a, b = mesh.element_bounds(mesh.r)
     nu = (mesh.gamma - a) / (b - a)
@@ -350,12 +385,21 @@ def _per_panel_bands(space, prob):
             vals, ders = (np.concatenate([vals, we * vals[local]]),
                           np.concatenate([ders, dw * vals[local] + we * ders[local]]))
             r += list(nf + np.arange(space.n_enr))
-        rows.append(np.repeat(np.array(r)[:, None], len(r), 1))
-        Ks.append(_gram(ders[None], prob.kappa(x) * w))
-        Ms.append(_gram(vals[None], w))
-    flat = lambda arrays: np.concatenate([a.ravel() for a in arrays])  # noqa: E731
-    order, band = _band_form(nf + space.n_enr, flat(rows), flat(r.T for r in rows))
-    return (order, band(flat(Ks))), (order, band(flat(Ms)))
+        rows.append(np.array(r))
+        Ks.append(_gram(ders[None], prob.kappa(x) * w)[0, :-1].reshape(len(r), -1))
+        Ms.append(_gram(vals[None], w)[0, :-1].reshape(len(r), -1))
+    q = panel_basis(space, p + LOAD_RULE)
+    g = q.w * sample(prob.source, q.x)
+    loads = list(g @ q.vals.T)
+    at, _, gamma_vals, _ = q.gamma
+    loads[at] = np.einsum("pfn,pn->pf", gamma_vals, g[at])
+    F = np.zeros(nf + space.n_enr)
+    for r, load in zip(rows, loads):
+        for i, v in zip(r, load):
+            if i >= 0:
+                F[i] += v
+    ndof = nf + space.n_enr
+    return _panel_order_scatter(ndof, rows, Ks), _panel_order_scatter(ndof, rows, Ms), F
 
 
 @settings(max_examples=40, deadline=None)
@@ -368,6 +412,13 @@ def _per_panel_bands(space, prob):
 @example(p=1, N=10, fitting=False, where=0.999, enrich=True, k1=4.0)  # and in element N
 @example(p=3, N=7, fitting=False, where=0.05, enrich=True, k1=1e-3)
 @example(p=2, N=9, fitting=False, where=0.97, enrich=True, k1=1e3)
+@example(p=3, N=2, fitting=False, where=0.2, enrich=True, k1=4.0)     # N = 2
+@example(p=1, N=2, fitting=False, where=0.7, enrich=True, k1=4.0)
+@example(p=1, N=3, fitting=False, where=0.1, enrich=True, k1=4.0)     # FEM row 1 couples row 0
+@example(p=1, N=40, fitting=False, where=0.01, enrich=True, k1=4.0)   # too, then element 3
+@example(p=3, N=6, fitting=False, where=0.99, enrich=True, k1=4.0)    # no element after gamma
+@example(p=4, N=11, fitting=False, where=0.5, enrich=False, k1=4.0)   # FEM, not fitting
+@example(p=2, N=5, fitting=False, where=0.9, enrich=False, k1=1e3)    # and gamma in element N
 def test_bands_equal_per_panel_element_matrices_bit_for_bit(p, N, fitting, where, enrich, k1):
     # uniform meshes from np.linspace have a few distinct element sizes; off a
     # node gamma may lie in any element, the first and the last included
@@ -375,11 +426,14 @@ def test_bands_equal_per_panel_element_matrices_bit_for_bit(p, N, fitting, where
     gamma = j / N if fitting else (j + 0.05 + 0.9 * (where * N % 1.0)) / N
     mesh = build_uniform_mesh(N, gamma)
     space = build_space(mesh, p, enrich=enrich)
-    prob = InterfaceProblem(gamma=mesh.gamma, kappa0=1.0, kappa1=k1)
+    prob = InterfaceProblem(gamma=mesh.gamma, kappa0=1.0, kappa1=k1,
+                            source=lambda x: np.exp(x) * np.cos(5.0 * x))
     system = assemble(space, prob)
-    for got, want in zip((system.K.band, system.M.band), _per_panel_bands(space, prob)):
-        assert np.array_equal(got[0], want[0])
+    *bands, F = _per_panel_system(space, prob)
+    for got, want in zip((system.K.band, system.M.band), bands):
+        assert np.array_equal(got[0], want[0]) and got[1].shape == want[1].shape
         assert got[1].tobytes() == want[1].tobytes()  # bit for bit, signed zeros too
+    assert system.F.tobytes() == F.tobytes()
 
 
 # ---------------------------------------------------------------------------
