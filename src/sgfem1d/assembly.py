@@ -36,19 +36,18 @@ class InterfaceProblem:
 
 
 class BlockSystem:
-    """Assembled stiffness K, mass M and, for a source problem, load F (else None),
-    read-only, FEM rows first and enrichment rows after.  K and M are densela.BandMatrix
-    objects over lower bands in the solver's order (M's built by ``mass`` on first read:
-    a source problem needs only K and F).  K_FF, K_FE and K_EE are CSR blocks of K.csr."""
+    """Assembled stiffness K, mass M and, for a source problem, load F (else None), read-only,
+    FEM rows first.  It keeps assemble's element chain; K and M are densela.BandMatrix objects
+    laid from it on first read.  K_FF, K_FE and K_EE are CSR blocks of K.csr."""
 
-    def __init__(self, order, K, mass, F, n_fem):
-        if F is not None:
-            F.setflags(write=False)
-        self._order, self._K, self._mass, self._F, self.n_fem = order, K, mass, F, n_fem
+    def __init__(self, chain, F, n_fem):
+        self._chain, self._F, self.n_fem, self._laid = chain, F, n_fem, {}
 
-    K = property(lambda self: self._K)
-    M = property(lambda self: vars(self).get("_M") or vars(self).setdefault(
-        "_M", BandMatrix(self._order, vars(self).pop("_mass")())))
+    def _lay(self, i):  # matrix i (0: K, 1: M) of the chain, laid by _band once
+        return self._laid.get(i) or self._laid.setdefault(i, _band(*self._chain[i]))
+
+    K = property(lambda self: self._lay(0))
+    M = property(lambda self: self._lay(1))
     F = property(lambda self: self._F)
     K_FF = property(lambda self: self.K[:self.n_fem, :self.n_fem])
     K_FE = property(lambda self: self.K[:self.n_fem, self.n_fem:])
@@ -69,9 +68,10 @@ def _skew(m, ix, width):
     return np.where((ix[b + d] >= 0) & (ix[b] >= 0), ix[b + d] * m + ix[b], -1)
 
 
-def _band(grams, gamma, p, key, ge, W, s, ne, ix):
-    """The W lower diagonals, column-major, of the matrix with the whole elements' grams[key]
-    and element ge's G1 + G2 (gamma), laid along the element chain (the rest: see assemble)."""
+def _band(whole, gamma, order, p, key, ge, W, s, ne, ix):
+    """A BandMatrix in row order `order`, its W lower diagonals column-major: the _grams of
+    whole[key] and element ge's G1 + G2 (of gamma), laid along the chain (see assemble)."""
+    grams, gamma = _gram(*whole), _gram(*gamma)
     N, B = len(key), np.zeros((len(key) * p + ne + 1, W))  # B[c + 1, d]: below position c
     k, grams[key[ge]] = -(-s // p) if ne else N, 0.0  # element k straddles FEM row s - 1
     # an element's entry (b + d, b), b < p, at [b, d] (+ 0.0: no signed zeros); (p, p) apart
@@ -86,12 +86,12 @@ def _band(grams, gamma, p, key, ge, W, s, ne, ix):
     if len(gamma):  # panel order sums element ge's node 0 as (left + G1) + G2
         B[ge.start * p:][:len(ix)] += (gamma[0] + gamma[1])[_skew(p + 1 + ne, ix, W)]
         B[ge.start * p, 0] = (V[ge.start - 1] + gamma[0, 0]) + gamma[1, 0]
-    return B[1:-1].T
+    return BandMatrix(order, B[1:-1].T)
 
 
 def assemble(space, prob):
-    """Assemble the block stiffness/mass system (and load if a source is
-    present); the mass matrix is built when it is first read."""
+    """The BlockSystem of prob on space: F if prob has a source, and K's and M's element chain,
+    the _gram inputs of each whole-element key and of the gamma panels, and one layout."""
     if abs(prob.gamma - space.mesh.gamma) > 1e-13:
         raise InvalidArgumentError("problem and mesh disagree on gamma")
     if not all(0.0 < k < np.inf for k in (prob.kappa0, prob.kappa1)):
@@ -113,14 +113,14 @@ def assemble(space, prob):
         np.add.at(F, space.panel_layout[5][:, :p + 1 + ne] + 1, load)
         F[:N * p] += L[:, :p].ravel()
         F = F[1:-1]
+        F.setflags(write=False)
     q = panel_basis(space, p + MATRIX_RULE)
-    (_, _, vals, ders), w, wg = q.gamma, q.w[first], q.w[at].copy()  # M's, kept small
+    (_, _, vals, ders), w, wg = q.gamma, q.w[first], q.w[at].copy()  # copies: kept in chain
     # W diagonals; ix: the interface element's rows by position from its node 0 (-1: a gap)
     W = 1 + max(p - (N == 2), ne + min(p, nf - s), ne and s + ne - 1 - max(p * r - p - 1, 0))
     ix = (*range(p + (r < N)), *[-1] * (s > p * r), *range(p + 1, p + 1 + ne))
-    layout = p, np.delete(key, slice(ge.stop, at.stop)), ge, W, s, ne, ix
     order = np.concatenate([np.arange(s), np.arange(nf, nf + ne), np.arange(s, nf)])
-    K = _band(_gram(q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w),
-              _gram(ders, prob.kappa(q.x[at]) * wg), *layout)
-    mass = lambda lagrange=q.vals[None]: _band(_gram(lagrange, w), _gram(vals, wg), *layout)
-    return BlockSystem(order, BandMatrix(order, K), mass, F, nf)
+    layout = order, p, np.delete(key, slice(ge.stop, at.stop)), ge, W, s, ne, ix
+    K = ((q.ders / q.h[first, :, None], prob.kappa(q.x[first]) * w),
+         (ders, prob.kappa(q.x[at]) * wg), *layout)
+    return BlockSystem((K, ((q.vals[None], w), (vals, wg), *layout)), F, nf)

@@ -78,21 +78,28 @@ def test_block_shapes(small_sgfem_system):
 
 
 def test_mass_matrix_is_built_on_first_read(monkeypatch, benchmark_problem):
+    # assemble keeps the element chain and lays no band: K and M are each laid
+    # once, on their first read.  A source problem reads only K and F, and the
+    # benchmark's per-layer counters read K_FF, K_FE and K_EE on every traced
+    # assemble, so those reads lay K and never M.
     from sgfem1d import assembly
-    calls = []
-    band = assembly._band
+    calls, band = [], assembly._band
 
-    def counted(grams, gamma, *layout):
-        calls.append(grams.shape)
-        return band(grams, gamma, *layout)
+    def counted(whole, gamma, *layout):
+        calls.append(whole)
+        return band(whole, gamma, *layout)
 
     monkeypatch.setattr(assembly, "_band", counted)
     _, _, prob = benchmark_problem
     sys_ = assemble(build_space(build_uniform_mesh(10, prob.gamma), 2), prob)
-    assert len(calls) == 1  # K only: a source problem needs K and F
+    assert len(calls) == 0
+    sys_.K_FF, sys_.K_FE, sys_.K_EE
+    assert len(calls) == 1
+    K = sys_.K
+    assert len(calls) == 1
     M = sys_.M
     assert len(calls) == 2
-    assert sys_.M is M and not M.band[1].flags.writeable
+    assert sys_.K is K and sys_.M is M and not M.band[1].flags.writeable
     assert len(calls) == 2
 
 
@@ -108,11 +115,23 @@ def test_assembly_memory_is_linear_in_ndof(N, benchmark_problem):
     tracemalloc.start()
     try:
         sys_ = assemble(space, prob)
-        sys_.M
+        sys_.K, sys_.M
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 850 * ndof
+    if N == 20000:
+        # on the built panel layout, assemble keeps F, the row order and the
+        # element chain until a band is read: measured 18.8 bytes/dof (82.7
+        # when it laid K's band at once)
+        del sys_
+        tracemalloc.start()
+        try:
+            sys_ = assemble(space, prob)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 20 * ndof
     # the solve and the H1 norm on a fresh space (its norm basis built here)
     space = build_space(build_uniform_mesh(N, prob.gamma), 3)
     sys_ = assemble(space, prob)
@@ -129,15 +148,17 @@ def test_assembly_memory_is_linear_in_ndof(N, benchmark_problem):
 def test_assembly_and_norms_hold_no_per_point_basis_tables(benchmark_problem):
     # p=3, N=2*10^4 (ndof 60003).  Whole elements read one shared reference
     # table, so neither assemble nor the norms build (panels, functions,
-    # points) arrays: measured 307 bytes/dof at assemble's peak with a load
-    # (531 with such tables) and 37.5 kept by the space after the H1 norm,
-    # its p+4 points and weights (187 with the tables).
+    # points) arrays: measured 150 bytes/dof at the peak of assemble with a
+    # load and K's first read (531 with such tables, when that peak was 307)
+    # and 37.5 kept by the space after the H1 norm, its p+4 points and weights
+    # (187 with the tables).
     u, _, prob = benchmark_problem
     space = build_space(build_uniform_mesh(20000, prob.gamma), 3)
     ndof = space.n_fem + space.n_enr
     tracemalloc.start()
     try:
         sys_ = assemble(space, prob)
+        sys_.K
         peak = tracemalloc.get_traced_memory()[1]
         dofs = DofVector(*np.split(solve_spd(sys_.K, sys_.F), [space.n_fem]))
         del sys_
@@ -152,15 +173,16 @@ def test_assembly_and_norms_hold_no_per_point_basis_tables(benchmark_problem):
 
 def test_assembly_builds_no_per_entry_pattern(benchmark_problem):
     # p=3, N=2*10^4 (ndof 60003).  K's and M's row order and band layout follow
-    # from the element chain in closed form, so assemble with a load holds no
-    # (entries,) index arrays: measured 171 bytes/dof at its peak, 326 when it
-    # scattered through a row and column index per element-matrix entry.
+    # from the element chain in closed form, so assemble with a load and K's
+    # first read hold no (entries,) index arrays: measured 150 bytes/dof at
+    # their peak, 326 when assemble scattered through a row and column index
+    # per element-matrix entry.
     _, _, prob = benchmark_problem
     space = build_space(build_uniform_mesh(20000, prob.gamma), 3)
     ndof = space.n_fem + space.n_enr
     tracemalloc.start()
     try:
-        assemble(space, prob)
+        assemble(space, prob).K
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
