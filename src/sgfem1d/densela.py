@@ -1,34 +1,29 @@
 """Symmetric linear algebra in LAPACK band storage: SPD solve, the smallest
 generalized eigenpairs, scaled condition numbers.
 
-The matrices are banded except for the enrichment rows, which sit at the
-end.  Rows ordered by their first nonzero column (stably) put every
-enrichment row next to its interface element: half-bandwidth at most 2p+1
-for SGFEM, p for FEM.  A BandMatrix (an assembled system's K or M) holds
-that order and its lower band, column-major as dsbmv and dpbtrf (banded
-Cholesky) read it, so no solver copies it, and a scipy CSR form for all
+The matrices are banded except for the enrichment rows, which sit at the end.  Rows
+ordered by their first nonzero column (stably) put every enrichment row next to its
+interface element: half-bandwidth at most 2p+1 for SGFEM, p for FEM.  A BandMatrix (an
+assembled system's K or M) holds that order and its lower band, column-major as dsbmv and
+dpbtrf (banded Cholesky) read it, so no solver copies it, and a scipy CSR form for all
 else; dense input must be finite and symmetric, and is scanned for its pattern.
 
-Eigenvalues come from ARPACK's implicitly restarted Lanczos method
-(scipy's eigsh) in standard mode, as the largest of one symmetric band
-operator.  The smallest lambda of K v = lambda M v are 1/mu for the largest
-mu of C^-1 M C^-T with K = C C^T, the symmetric form of the solution
-operator K^-1 M, applied by two triangular band solves (dtbtrs) on the
-Cholesky factor around a band product by M, in every branch.  The scaled
+The smallest lambda of K v = lambda M v are 1/mu for the largest mu of C^-1 M C^-T with
+K = C C^T, the symmetric form of the solution operator K^-1 M, applied by two triangular
+band solves (dtbtrs) around a product by M: dsbmv on each vector of ARPACK's implicitly
+restarted Lanczos method (scipy's eigsh), or, for n <= 80 + 2k (README), M's DIA block on
+the identity, whose top k dsyevr takes (range "I", lower=1, dsyevr_lwork's workspace).  A
+Rayleigh-Ritz step by dsygvd (itype 1, jobz "V", uplo "L") closes both: the arguments, so
+the bits, of scipy.linalg.eigh.  Lanczos stops at Ritz residuals of 1e-8 (ARPACK's tol;
+|theta - lambda| <= ||r||), and the closing step restores the pairs to rounding level: at
+k = 8 that cut 35 operator applications to 27, moving eigenvalues <= 2.1e-14.  The scaled
 condition number takes its extremes from a band product and from dpbtrs.
-
-Lanczos stops at Ritz residuals of 1e-8 (ARPACK's tol; |theta - lambda| <=
-||r||), and generalized_eigs restores its pairs to rounding level: at k = 8
-that cut 35 operator applications to 27, moving eigenvalues <= 2.1e-14.
-Pencils with n <= 80 + 2k go to dense LAPACK, which broke even with ARPACK
-near n = 90 at k = 8 (one BLAS thread, 2-core Xeon; README has figures).
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import dsbmv
 from scipy.sparse import csr_array, dia_array
@@ -56,21 +51,18 @@ def _dia(ab):
 
 
 class BandMatrix:
-    """Read-only symmetric n x n matrix held as its lower band ab in the row
-    order ``order`` (new position -> row): band = (order, ab).  A @ x, x @ A,
-    indexing and np.asarray(A) read one scipy CSR array of A's nonzeros in
-    natural row order, built from the band on first use."""
+    """Read-only symmetric n x n matrix held as its lower band ab in the row order ``order``
+    (new position -> row): band = (order, ab).  A @ x, x @ A, indexing and np.asarray(A)
+    read one scipy CSR array of A's nonzeros in natural row order, built on first use."""
 
     __array_priority__ = 1000  # x @ A defers to A.__rmatmul__
     ndim, dtype = 2, np.dtype(float)
     T = property(lambda self: self)
+    __len__ = lambda self: self.shape[0]
 
     def __init__(self, order, ab):
         ab.setflags(write=False)
         self.band, self.shape = (order, ab), (len(order),) * 2
-
-    def __len__(self):
-        return self.shape[0]
 
     @cached_property
     def csr(self):
@@ -94,9 +86,8 @@ class BandMatrix:
 
 
 def _symmetric(A, n=None):
-    """A as a float square (n x n, if n is given) array if it is finite and
-    symmetric, to 1e-12 of each entry plus 1e-12 of the largest (at least
-    1e-12); else raises."""
+    """A as a float square (n x n, if n is given) array if it is finite and symmetric, to
+    1e-12 of each entry plus 1e-12 of the largest (at least 1e-12); else raises."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidArgumentError("matrix must be square")
@@ -128,12 +119,12 @@ def _banded(*mats):
                                       range(width)]) + 0.0 for B in (A[perm] for A in mats)]
 
 
-def _factor(ab):
-    """Banded Cholesky factor of the lower band ab; raises if not SPD."""
+def _factor(ab, what=""):
+    """Banded Cholesky factor of the lower band ab; raises, after what, if it is not SPD."""
     c, info = lapack.dpbtrf(ab, lower=1)
     if info > 0:
         raise NotPositiveDefiniteError(
-            f"leading minor of order {info} is not positive definite")
+            f"{what}leading minor of order {info} is not positive definite")
     return c
 
 
@@ -159,41 +150,49 @@ def solve_spd(K, F):
     return U
 
 
+def _lapack(name, *mats, **kw):
+    """lapack.<name>'s outputs but info on mats, overwritten; raises on inf/NaN or info."""
+    if not all(np.isfinite(A).all() for A in mats):
+        raise ConvergenceFailureError(f"{name}: input is not finite")
+    *out, info = getattr(lapack, name)(*mats, overwrite_a=1, **kw)
+    if info:
+        raise (NotPositiveDefiniteError if name == "dsygvd" and info > len(mats[0])
+               else ConvergenceFailureError)(f"{name} failed with info = {info}")
+    return out
+
+
 def generalized_eigs(K, M, k):
-    """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for
-    the k largest eigenvalues mu of C^-1 M C^-T with K = C C^T: by ARPACK on
-    the band factor C or, for n <= 80 + 2k, by dense LAPACK, then refined by
-    one inverse-iteration and Rayleigh-Ritz step.  Eigenvectors are M-orthonormal
-    (or it raises); the entry of largest magnitude of each is positive."""
+    """k smallest eigenpairs of K v = lambda M v for SPD K, M, as 1/mu for the k largest mu
+    of C^-1 M C^-T, K = C C^T: by ARPACK on the band factor C or, for n <= 80 + 2k, by
+    dsyevr on its dense form, then one inverse-iteration and Rayleigh-Ritz (dsygvd) step.
+    Eigenvectors are M-orthonormal (or it raises), each with its largest entry positive."""
     order, (kb, mb) = _banded(K, M)
     n = len(order)
     if not 0 <= k <= n:
         raise InvalidArgumentError(f"requested {k} pairs from a {n}x{n} system")
     c = _factor(kb)
-    try:
-        _factor(mb)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"mass matrix: {exc}") from exc
+    _factor(mb, "mass matrix: ")  # dropped at once: at N = 1e5 it is as large as c
     if k == 0:
         return EigenSolution(values=np.empty(0), vectors=np.empty((n, 0)))
-    block = cache(lambda: _dia(mb))  # on the first block product: Lanczos calls dsbmv
-    m = lambda x: dsbmv(len(mb) - 1, 1.0, mb, x, lower=1) if x.ndim == 1 else block() @ x
-    mct = lambda Y: m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])  # M C^-T Y
-    op = lambda Y: lapack.dtbtrs(c, mct(Y), uplo="L")[0]  # C^-1 M C^-T Y
+    tb = lambda Y, t="N": lapack.dtbtrs(c, Y, uplo="L", trans=t)[0]  # C^-1 Y, "T": C^-T Y
     if n <= 80 + 2 * k:  # dense LAPACK is faster here (module docstring)
-        Y = scipy.linalg.eigh(op(np.eye(n)), subset_by_index=[n - k, n - 1])[1]
-    else:
-        Y = _lanczos(op, n, k)[1]
-    # One inverse-iteration step, W = K^-1 M C^-T Y, purges the vectors of
-    # the huge lambda of a nearly dependent basis, which the residual
-    # amplifies; Rayleigh-Ritz in span(W) restores the pairs to rounding level.
-    P = mct(Y)
+        block = _dia(mb)  # eigh's call: its lwork; lower=1, as tb(...) is not bit-symmetric
+        lwork, liwork = (int(w) for w in lapack.dsyevr_lwork(n, lower=1)[:2])
+        Y = _lapack("dsyevr", tb(block @ tb(np.eye(n), "T")), range="I", lower=1,
+                    il=n - k + 1, iu=n, lwork=lwork, liwork=liwork)[1][:, :k]
+    else:  # Lanczos multiplies by M with dsbmv, vector by vector
+        Y = _lanczos(lambda x: tb(dsbmv(len(mb) - 1, 1.0, mb, tb(x, "T"), lower=1)), n, k)[1]
+        block = _dia(mb)  # alive only through the closing step
+    # One inverse-iteration step, W = K^-1 M C^-T Y, purges the vectors of the huge lambda of a
+    # nearly dependent basis, which the residual amplifies; Rayleigh-Ritz in span(W) restores
+    # the pairs to rounding level.
+    P = block @ tb(Y, "T")
     W = lapack.dpbtrs(c, P, lower=1)[0]  # W^T K W = W^T P
-    mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
+    mu, U = _lapack("dsygvd", W.T @ (block @ W), W.T @ P, overwrite_b=1)
     V = (W @ U)[:, ::-1] / np.sqrt(np.abs(mu[::-1]))  # band order
-    if mu[0] <= 0.0 or np.abs(V.T @ m(V) - np.eye(k)).max() > 1e-6:  # k near n
+    if mu[0] <= 0.0 or np.abs(V.T @ (block @ V) - np.eye(k)).max() > 1e-6:  # k near n
         raise NotPositiveDefiniteError("mass matrix: singular on the eigenvectors")
-    V = V[np.argsort(order)]  # natural order
+    V[order] = V.copy()  # natural order: band row i is row order[i]
     V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
     return EigenSolution(values=1.0 / mu[::-1], vectors=V)
 

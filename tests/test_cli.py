@@ -309,6 +309,18 @@ def test_eigensolver_failure_exits_3_and_names_the_cell(monkeypatch, capsys):
     assert "No convergence" in err and "(p=1, N=160, FEM)" in err
 
 
+@pytest.mark.parametrize("name, N", [("dsyevr", "10,20,40"), ("dsygvd", "160,320")])
+def test_lapack_failure_exits_3_and_names_the_cell(monkeypatch, capsys, name, N):
+    # dsyevr solves the dense cells (p = 1: up to N = 80), dsygvd closes every cell
+    routine = getattr(densela.lapack, name)
+    monkeypatch.setattr(densela.lapack, name, lambda *args, **kw: (
+        *routine(*args, **kw)[:-1], 1))
+    assert main(["eigen", "--p", "1", "--N", N]) == 3
+    err = capsys.readouterr().err
+    cell = f"(p=1, N={N.split(',')[0]}, FEM)"
+    assert f"{name} failed with info = 1" in err and cell in err
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--gamma", "0.3", "--eta", "nan", "--count", "1"],
     ["oracle", "--gamma", "0.3", "--eta", "inf", "--count", "1"],

@@ -13,6 +13,8 @@ from sgfem1d import (InterfaceProblem, SweepConfig, assemble, build_space,
                      build_uniform_mesh, generalized_eigs, run_cond_sweep,
                      run_eigen_sweep, run_source_sweep, scaled_condition_number,
                      solve_matching_system, solve_spd)
+from scipy.linalg import lapack
+from scipy.linalg.blas import dsbmv
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from sgfem1d import densela
@@ -452,6 +454,82 @@ def test_arpack_failure_is_a_convergence_failure(monkeypatch):
         scaled_condition_number(K)
 
 
+@pytest.mark.parametrize("name, n, info, error", [
+    ("dsyevr", 20, 1, ConvergenceFailureError),  # n <= 80 + 2k: dense
+    ("dsygvd", 90, 1, ConvergenceFailureError),  # ARPACK's branch
+    ("dsygvd", 20, 3, NotPositiveDefiniteError),  # info > k: B is not definite
+])
+def test_lapack_failure_is_a_package_error(monkeypatch, name, n, info, error):
+    routine = getattr(densela.lapack, name)
+    monkeypatch.setattr(densela.lapack, name, lambda *args, **kw: (
+        *routine(*args, **kw)[:-1], info))
+    K, M = _random_spd(n, 72), _random_spd(n, 73, shift=2.0)
+    with pytest.raises(error, match=f"{name} failed with info = {info}"):
+        generalized_eigs(K, M, 2)
+
+
+def test_non_finite_dense_form_is_a_convergence_failure():
+    # C^-1 M C^-T = 1e600 I overflows to inf before dsyevr
+    with pytest.raises(ConvergenceFailureError, match="dsyevr: input is not finite"):
+        generalized_eigs(1e-300 * np.eye(3), 1e300 * np.eye(3), 1)
+
+
+def _eigh_reference(K, M, k):
+    """(values, vectors) by the algorithm of generalized_eigs as it ran through
+    scipy.linalg.eigh (the dense subset solve and the closing step), or None
+    where it raised."""
+    order, (kb, mb) = _banded(K, M)
+    n, c = len(order), lapack.dpbtrf(kb, lower=1)[0]
+    block = densela._dia(mb)
+    m = lambda x: dsbmv(len(mb) - 1, 1.0, mb, x, lower=1) if x.ndim == 1 else block @ x
+    mct = lambda Y: m(lapack.dtbtrs(c, Y, uplo="L", trans="T")[0])
+    op = lambda Y: lapack.dtbtrs(c, mct(Y), uplo="L")[0]
+    try:
+        if n <= 80 + 2 * k:
+            Y = scipy.linalg.eigh(op(np.eye(n)), subset_by_index=[n - k, n - 1])[1]
+        else:
+            Y = densela._lanczos(op, n, k)[1]
+        P = mct(Y)
+        W = lapack.dpbtrs(c, P, lower=1)[0]
+        mu, U = scipy.linalg.eigh(W.T @ m(W), W.T @ P)
+    except np.linalg.LinAlgError:
+        return None
+    V = (W @ U)[:, ::-1] / np.sqrt(np.abs(mu[::-1]))
+    if mu[0] <= 0.0 or np.abs(V.T @ m(V) - np.eye(k)).max() > 1e-6:
+        return None
+    V = V[np.argsort(order)]
+    V *= np.sign(V[np.argmax(np.abs(V), axis=0), np.arange(k)])
+    return 1.0 / mu[::-1], V
+
+
+def _no_eigh(*args, **kwargs):
+    raise AssertionError("scipy.linalg.eigh called")
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=cells(max_N=160), p=st.integers(1, 6), eta=st.floats(1e-3, 1e3))
+@example(cell=(0, 160, 1.0 / np.pi, 0, True), p=3, eta=np.e ** 2)  # case3: ARPACK at k = 8
+@example(cell=(0, 10, 0.31, 0, True), p=6, eta=1e3)  # n = 67: dsytrd blocks
+@example(cell=(0, 40, 1.0 / 3.0, 0, False), p=2, eta=1e-3)  # FEM
+def test_lapack_calls_keep_the_bits_of_eigh(cell, p, eta):
+    # dsyevr and dsygvd get the arguments scipy.linalg.eigh gave them, so every
+    # pair keeps its bits (another workspace or the upper triangle would not)
+    _, N, gamma, _, enrich = cell
+    _, system = _assemble(p, N, gamma, eta, enrich)
+    n = system.K.shape[0]
+    for k in sorted({1, min(8, n), n}):
+        want = _eigh_reference(system.K, system.M, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.linalg, "eigh", _no_eigh)
+            try:
+                sol = generalized_eigs(system.K, system.M, k)
+            except (NotPositiveDefiniteError, ConvergenceFailureError):
+                assert want is None
+                continue
+        assert np.array_equal(sol.values, want[0])
+        assert np.array_equal(sol.vectors, want[1])
+
+
 def test_every_arpack_call_is_standard_mode(monkeypatch):
     # one Lanczos run on one symmetric operator per extreme: an M operator
     # or shift-invert mode adds a Python call back for every M product; each
@@ -569,6 +647,21 @@ def test_mass_dia_block_is_built_after_lanczos(monkeypatch, k):
     assert events == ["lanczos", "dia"]
     assert np.array_equal(got.values, want.values)
     assert np.array_equal(got.vectors, want.vectors)
+
+
+@pytest.mark.parametrize("N, k", [(20, 8), (40, 123)])  # ndof 63 and 123, k = n
+def test_mass_dia_block_is_built_once_before_the_dense_solve(monkeypatch, N, k):
+    # the dense form and the closing step share one DIA block of M
+    _, system = _assemble(3, N, 0.31, 4.0, True)
+    want = _eigh_reference(system.K, system.M, k)
+    events, dia, call = [], densela._dia, densela._lapack
+    monkeypatch.setattr(densela, "_dia", lambda ab: events.append("dia") or dia(ab))
+    monkeypatch.setattr(densela, "_lapack", lambda name, *args, **kw: (
+        events.append(name), call(name, *args, **kw))[1])
+    got = generalized_eigs(system.K, system.M, k)
+    assert events == ["dia", "dsyevr", "dsygvd"]
+    assert np.array_equal(got.values, want[0])
+    assert np.array_equal(got.vectors, want[1])
 
 
 def test_matrices_of_two_systems_take_the_band_path(monkeypatch):
